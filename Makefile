@@ -7,11 +7,13 @@ PYTHON ?= python
 install:
 	$(PYTHON) setup.py develop
 
+# tier-1 (ROADMAP.md): tests/ only, per pyproject's testpaths
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m pytest -x -q
 
+# the repo's one end-to-end benchmark (BENCHMARK.json, e2e_bench/README.md)
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	python3 e2e_bench/run.py
 
 # paper-size workloads (slow; hours for the DTW-family baselines)
 bench-full:

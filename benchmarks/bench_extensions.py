@@ -3,9 +3,7 @@
 1. **MinHash/LSH vs inverted list** — "scaling our approach on large
    datasets": recall and per-query latency of the LSH candidate
    generator against the exact inverted-list searcher.
-2. **Parallel batch queries** — "adopting a parallelized mechanism":
-   thread-pool scaling of ``STS3Database.query_batch``.
-3. **Subsequence search** — sparse-join candidate generation vs the
+2. **Subsequence search** — sparse-join candidate generation vs the
    brute-force sliding scan.
 """
 
@@ -69,47 +67,6 @@ class TestMinHashVsIndex:
     def test_bench_lsh(self, benchmark, setup):
         _, approx, query_sets = setup
         benchmark(lambda: approx.query(query_sets[0], k=1))
-
-
-class TestParallelBatch:
-    @pytest.fixture(scope="class")
-    def setup(self, report):
-        workload = ecg_workload(
-            scaled(10_000, minimum=300), scaled(400, minimum=40), length=256, seed=12
-        )
-        db = STS3Database(workload.database, sigma=3, epsilon=0.5, normalize=False)
-        db.indexed_searcher()
-        rows = []
-        base = None
-        for workers in (1, 2, 4):
-            with Timer() as t:
-                db.query_batch(workload.queries, k=1, method="index", workers=workers)
-            base = base or t.seconds
-            rows.append([workers, t.millis, base / t.seconds])
-        import os
-
-        cpus = os.cpu_count() or 1
-        report(
-            "extension_parallel",
-            render_table(
-                ["workers", "batch ms", "speed-up"],
-                rows,
-                title=(
-                    f"Extension: process-parallel batch queries "
-                    f"(index method, host has {cpus} CPU(s) — speed-up is "
-                    f"bounded by that)"
-                ),
-            ),
-        )
-        return db, workload
-
-    def test_bench_parallel4(self, benchmark, setup):
-        db, workload = setup
-        benchmark.pedantic(
-            lambda: db.query_batch(workload.queries[:40], k=1, method="index", workers=4),
-            rounds=1,
-            iterations=1,
-        )
 
 
 class TestSubsequence:

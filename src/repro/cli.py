@@ -115,8 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="index",
         help="index engages the vectorized batch kernel",
     )
-    batch.add_argument("--workers", type=int, default=None,
-                       help="fork this many worker processes")
     batch.add_argument("--limit", type=int, default=5,
                        help="print the answers of at most this many queries")
     batch.add_argument("--trace", action="store_true",
@@ -440,7 +438,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     try:
         results = db.query_batch(
-            queries, k=args.k, method=args.method, workers=args.workers,
+            queries, k=args.k, method=args.method,
             deadline_ms=args.deadline_ms,
         )
     finally:
@@ -505,7 +503,6 @@ def _report_batch_observability(args, tracer, stats, elapsed, n_queries) -> int:
         "method": args.method,
         "queries": n_queries,
         "k": args.k,
-        "workers": args.workers,
         "wall_seconds": round(elapsed, 6),
         "query_batch_seconds": round(wall, 6),
         "stages_seconds": {k: round(v, 6) for k, v in stages.items()},

@@ -138,8 +138,7 @@ class _KernelArtifacts:
     only on the (immutable) searcher, never on the workspace, so
     workspace-bound clones (:meth:`BatchQueryEngine.with_workspace`)
     share one instance and parallel shards build each artifact exactly
-    once, under the lock.  The lock is dropped and rebuilt across
-    pickling (the process-based ``query_batch(workers=N)`` path).
+    once, under the lock.
     """
 
     __slots__ = ("lock", "distinct", "onehot", "bitset")
@@ -150,19 +149,6 @@ class _KernelArtifacts:
         self.onehot: np.ndarray | None = None
         #: a BitsetStore, a zero-arg supplier for one, or None.
         self.bitset = bitset
-
-    def __getstate__(self) -> dict:
-        return {
-            "distinct": self.distinct,
-            "onehot": self.onehot,
-            "bitset": self.bitset,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.lock = threading.Lock()
-        self.distinct = state["distinct"]
-        self.onehot = state["onehot"]
-        self.bitset = state["bitset"]
 
 
 class BatchQueryEngine:

@@ -17,11 +17,6 @@ Two caches share one implementation:
   stale and the cache needs no generation component.
 
 Both report ``sts3_cache_{hits,misses,evictions}_total{cache=...}``.
-Instances hold a lock and therefore implement ``__getstate__`` /
-``__setstate__`` so a database travels through ``pickle`` (the
-process-based ``query_batch(workers=N)`` path): cached entries are
-dropped in transit — workers start cold rather than shipping the
-parent's cache bytes.
 """
 
 from __future__ import annotations
@@ -63,15 +58,6 @@ class LRUBytesCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-
-    # -- pickling: drop entries and rebuild the lock ---------------------
-
-    def __getstate__(self) -> dict:
-        return {"capacity_bytes": self.capacity_bytes, "name": self.name}
-
-    def __setstate__(self, state: dict) -> None:
-        # Explicit base-class init: subclasses take capacity only.
-        LRUBytesCache.__init__(self, state["capacity_bytes"], state["name"])
 
     # -- core ------------------------------------------------------------
 

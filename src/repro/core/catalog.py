@@ -262,34 +262,6 @@ class SegmentCatalog:
             for hook in self._retirement_hooks:
                 hook(seg)
 
-    def __getstate__(self) -> dict:
-        # A pickled catalog (batch worker processes) carries only the
-        # published layout: locks, pins, and hooks are process-local.
-        snapshot = self._snapshot
-        return {
-            "sigma": self.sigma,
-            "epsilon": self.epsilon,
-            "value_padding": self.value_padding,
-            "_next_id": self._next_id,
-            "segments": snapshot.segments,
-            "generation": snapshot.generation,
-            "quarantined": snapshot.quarantined,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.sigma = state["sigma"]
-        self.epsilon = state["epsilon"]
-        self.value_padding = state["value_padding"]
-        self._next_id = state["_next_id"]
-        self._lock = threading.RLock()
-        self._segments = list(state["segments"])
-        self._quarantined = list(state["quarantined"])
-        self._snapshot = CatalogSnapshot(
-            tuple(self._segments), state["generation"], tuple(self._quarantined)
-        )
-        self._retired = []
-        self._retirement_hooks = []
-
     # -- derived views ---------------------------------------------------
 
     @property

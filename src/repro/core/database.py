@@ -55,28 +55,6 @@ logger = logging.getLogger(__name__)
 
 _METHODS = ("naive", "index", "pruning", "approximate", "minhash", "auto")
 
-#: per-worker-process batch context, installed by the Pool initializer.
-#: The worker function must live at module level (Pool pickles it by
-#: name); the payload arrives via ``initargs``, which ``fork`` passes
-#: in-memory and ``spawn`` pickles exactly once per worker — so the
-#: handoff is explicit and start-method agnostic, instead of relying on
-#: fork-inherited module globals.
-_WORKER_CONTEXT: dict = {}
-
-
-def _init_batch_worker(db: "STS3Database", queries: list, params: dict) -> None:
-    _WORKER_CONTEXT["db"] = db
-    _WORKER_CONTEXT["queries"] = queries
-    _WORKER_CONTEXT["params"] = params
-
-
-def _batch_worker(indices: list[int]) -> list["QueryResult"]:
-    db = _WORKER_CONTEXT["db"]
-    queries = _WORKER_CONTEXT["queries"]
-    params = _WORKER_CONTEXT["params"]
-    return db._batch_chunk([queries[i] for i in indices], **params)
-
-
 class UpdateBuffer:
     """Holding area for out-of-bound inserted series (Section 5.3.2).
 
@@ -297,22 +275,6 @@ class STS3Database:
         self.wal_seq = 0
         self._replaying = False
         self._follower = False
-        self._mutation_lock = threading.RLock()
-        self._maintenance = None
-
-    # -- pickling (process-based query_batch workers) --------------------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        # Locks and background threads are process-local; workers only
-        # ever answer queries, so they get a fresh lock and no engine.
-        state.pop("_mutation_lock", None)
-        state.pop("_maintenance", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_follower", False)
         self._mutation_lock = threading.RLock()
         self._maintenance = None
 
@@ -706,44 +668,30 @@ class STS3Database:
         method: str = "auto",
         scale: int | None = None,
         max_scale: int | None = None,
-        workers: int | None = None,
-        start_method: str | None = None,
         deadline_ms: float | None = None,
         deadline_start: float | None = None,
     ) -> list[QueryResult]:
-        """Answer many queries, optionally across worker processes.
+        """Answer many queries in one call.
+
+        With ``method="index"`` the whole batch runs through the
+        planner's vectorized per-segment execution — one CSR pass over
+        each index-planned segment's inverted index instead of a
+        Python-level loop — which returns results identical to
+        per-query :meth:`query` calls.  Every other method loops the
+        scalar :meth:`query`.  Buffered series are merged per query
+        either way, so results always match scalar calls exactly.
 
         ``deadline_ms`` is a *per-query* budget (see :meth:`query`); it
-        routes the batch through the scalar loop, since the vectorized
-        kernel commits to a whole segment at once and cannot downgrade
-        mid-pass.  ``deadline_start`` backdates every budget to one
-        shared arrival stamp (the serving layer's batch hook).
+        routes the batch through the scalar loop too, since the
+        vectorized kernel commits to a whole segment at once and cannot
+        downgrade mid-pass.  ``deadline_start`` backdates every budget
+        to one shared arrival stamp (the serving layer's batch hook).
 
-        The paper's conclusion names "adopting a parallelized
-        mechanism" as future work.  Two mechanisms compose here:
-
-        - With ``method="index"`` the whole batch (or each worker's
-          share of it) runs through the planner's vectorized per-segment
-          execution — one CSR pass over each index-planned segment's
-          inverted index instead of a Python-level loop — which returns
-          results identical to per-query :meth:`query` calls.  Other
-          methods fall back to the scalar loop.
-        - Queries are embarrassingly parallel, but CPython threads do
-          not help here (the hot loops hold the GIL), so parallel
-          batches spin up worker processes.  Each worker takes a
-          *strided* slice of the queries (``queries[i::workers]``)
-          rather than a contiguous block: query costs are heterogeneous
-          (they scale with postings touched), and striding deals
-          similar mixes of cheap and expensive queries to every worker,
-          which balances load where contiguous blocks would let one
-          worker straggle.
-
-        Workers receive the database and their queries as an explicit
-        ``Pool(initializer=...)`` context, so both ``fork`` (payload
-        inherited copy-on-write) and ``spawn`` (payload pickled once
-        per worker) start methods behave identically.
-        ``start_method=None`` prefers ``fork`` where available;
-        ``workers=None`` or 1 runs sequentially.
+        The batch runs in this process.  To spread it over cores, set
+        ``max_workers`` (threads over segments and batch slices,
+        DESIGN.md §13) or serve the collection from a
+        :class:`~repro.core.shard.ShardedDatabase` (one persistent
+        process per shard, DESIGN.md §16).
         """
         if method not in _METHODS:
             raise ParameterError(f"unknown method {method!r}; one of {_METHODS}")
@@ -753,133 +701,57 @@ class STS3Database:
             "sts3_batch_queries_total", "queries answered through query_batch"
         ).inc(len(queries), method=method)
         with span("query_batch", method=method, queries=len(queries)):
-            return self._query_batch(
-                queries, k=k, method=method, scale=scale,
-                max_scale=max_scale, workers=workers, start_method=start_method,
-                deadline_ms=deadline_ms, deadline_start=deadline_start,
-            )
-
-    def _query_batch(
-        self,
-        queries: list[np.ndarray],
-        k: int,
-        method: str,
-        scale: int | None,
-        max_scale: int | None,
-        workers: int | None,
-        start_method: str | None = None,
-        deadline_ms: float | None = None,
-        deadline_start: float | None = None,
-    ) -> list[QueryResult]:
-        # Build the base segment's searcher before fanning out, so
-        # workers inherit (or receive) ready structures instead of each
-        # rebuilding them.  (A no-op span when already cached.)
-        with span("build_index", method=method):
-            if method == "index":
-                self.indexed_searcher()
-            elif method == "pruning":
-                self.pruning_searcher(scale)
-            elif method == "approximate":
-                self.approximate_searcher(max_scale)
-            elif method == "minhash":
-                self.minhash_searcher()
-
-        if not workers or workers <= 1 or len(queries) < 2:
-            return self._batch_chunk(
-                list(queries), k=k, method=method, scale=scale,
-                max_scale=max_scale, deadline_ms=deadline_ms,
-                deadline_start=deadline_start,
-            )
-        import multiprocessing as mp
-
-        available = mp.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else mp.get_start_method()
-        elif start_method not in available:
-            raise ParameterError(
-                f"start_method {start_method!r} not available; one of {available}"
-            )
-        context = mp.get_context(start_method)
-        workers = min(workers, len(queries))
-        chunks = [list(range(i, len(queries), workers)) for i in range(workers)]
-        params = dict(
-            k=k, method=method, scale=scale, max_scale=max_scale,
-            deadline_ms=deadline_ms, deadline_start=deadline_start,
-        )
-        # Under fork, workers inherit the active tracer copy-on-write:
-        # spans they record die with the worker process, while the
-        # parent's open query_batch span closes normally
-        # (docs/observability.md).  Under spawn, workers start with the
-        # default no-op tracer.
-        with context.Pool(
-            processes=workers,
-            initializer=_init_batch_worker,
-            initargs=(self, list(queries), params),
-        ) as pool:
-            chunk_results = pool.map(_batch_worker, chunks)
-        # Re-interleave: chunk i holds queries i, i+workers, i+2w, ...
-        out: list[QueryResult] = [None] * len(queries)  # type: ignore[list-item]
-        for i, results in enumerate(chunk_results):
-            out[i::workers] = results
-        return out
-
-    def _batch_chunk(
-        self,
-        queries: list[np.ndarray],
-        k: int = 1,
-        method: str = "index",
-        scale: int | None = None,
-        max_scale: int | None = None,
-        deadline_ms: float | None = None,
-        deadline_start: float | None = None,
-    ) -> list[QueryResult]:
-        """Answer a chunk of queries in-process (``method`` resolved).
-
-        The ``method="index"`` path runs the planner's vectorized batch
-        execution; every other method — and any deadline-bounded batch —
-        loops the scalar :meth:`query`.  Buffered series are merged per
-        query either way, so results always match scalar calls exactly.
-        """
-        if method != "index" or deadline_ms is not None:
-            return [
-                self.query(
-                    q, k=k, method=method, scale=scale, max_scale=max_scale,
-                    deadline_ms=deadline_ms, deadline_start=deadline_start,
+            # First-use searcher construction gets its own stage, so a
+            # cold batch does not bill it to ``filter``.
+            with span("build_index", method=method):
+                if method == "index":
+                    self.indexed_searcher()
+                elif method == "pruning":
+                    self.pruning_searcher(scale)
+                elif method == "approximate":
+                    self.approximate_searcher(max_scale)
+                elif method == "minhash":
+                    self.minhash_searcher()
+            if method != "index" or deadline_ms is not None:
+                return [
+                    self.query(
+                        q, k=k, method=method, scale=scale, max_scale=max_scale,
+                        deadline_ms=deadline_ms, deadline_start=deadline_start,
+                    )
+                    for q in queries
+                ]
+            prepared = [self._prepare(q) for q in queries]
+            cache = self.result_cache
+            if cache is None:
+                return self.planner.execute_batch(
+                    prepared, k, method, scale=scale, max_scale=max_scale,
+                    buffer=self.buffer, workspace=self._workspace,
                 )
-                for q in queries
+            # Per-query cache keys are identical to the scalar path's, so
+            # a batch can hit entries that scalar queries populated (and
+            # vice versa); only the misses run through the vectorized kernel.
+            keys = [
+                self._result_cache_key(p, k, method, scale, max_scale)
+                for p in prepared
             ]
-        prepared = [self._prepare(q) for q in queries]
-        cache = self.result_cache
-        if cache is None:
-            return self.planner.execute_batch(
-                prepared, k, method, scale=scale, max_scale=max_scale,
-                buffer=self.buffer, workspace=self._workspace,
-            )
-        # Per-query cache keys are identical to the scalar path's, so a
-        # batch can hit entries that scalar queries populated (and vice
-        # versa); only the misses run through the vectorized kernel.
-        keys = [
-            self._result_cache_key(p, k, method, scale, max_scale)
-            for p in prepared
-        ]
-        out: list[QueryResult | None] = [None] * len(queries)
-        misses: list[int] = []
-        for i, key in enumerate(keys):
-            hit = cache.get(key)
-            if hit is not None:
-                out[i] = self._clone_result(hit)
-            else:
-                misses.append(i)
-        if misses:
-            miss_results = self.planner.execute_batch(
-                [prepared[i] for i in misses], k, method,
-                scale=scale, max_scale=max_scale,
-                buffer=self.buffer, workspace=self._workspace,
-            )
-            for i, result in zip(misses, miss_results):
-                self._cache_store(keys[i], result)
-                out[i] = result
-        return out  # type: ignore[return-value]
+            out: list[QueryResult | None] = [None] * len(queries)
+            misses: list[int] = []
+            for i, key in enumerate(keys):
+                hit = cache.get(key)
+                if hit is not None:
+                    out[i] = self._clone_result(hit)
+                else:
+                    misses.append(i)
+            if misses:
+                miss_results = self.planner.execute_batch(
+                    [prepared[i] for i in misses], k, method,
+                    scale=scale, max_scale=max_scale,
+                    buffer=self.buffer, workspace=self._workspace,
+                )
+                for i, result in zip(misses, miss_results):
+                    self._cache_store(keys[i], result)
+                    out[i] = result
+            return out  # type: ignore[return-value]
 
     # -- updates -----------------------------------------------------------
 

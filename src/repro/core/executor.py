@@ -3,8 +3,8 @@
 The planner's unit of parallel work is one :class:`SegmentPlan` (or one
 shard of a batch): independent numpy sweeps — popcount, GEMM,
 ``searchsorted`` — that release the GIL, so *threads* scale them across
-cores without the pickling and copy-on-write costs of the
-process-based ``query_batch(workers=N)`` path.  An
+cores inside one process (the other way to use cores is one persistent
+process per shard, :mod:`repro.core.shard`).  An
 :class:`ExecutorPool` wraps one lazily-created
 :class:`~concurrent.futures.ThreadPoolExecutor` per worker count and is
 shared process-wide (:func:`get_pool`): pools are tiny, and sharing

@@ -730,9 +730,7 @@ class _MappedPayload:
     """Zero-arg loader over one mapped v4 payload (:meth:`Segment.lazy`).
 
     Holds only the archive path and payload coordinates — the memmap is
-    opened lazily and never pickled, so a database with mapped segments
-    travels to ``query_batch`` worker processes intact (each worker
-    re-maps its own view on first touch).
+    opened on first touch.
     """
 
     def __init__(self, path, offset, length, crc, n_dims, size, has_bitset, name):
@@ -745,11 +743,6 @@ class _MappedPayload:
         self.has_bitset = bool(has_bitset)
         self.name = name
         self._mmap = None
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state["_mmap"] = None
-        return state
 
     def __call__(self) -> dict:
         if self._mmap is None:

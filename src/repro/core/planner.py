@@ -117,17 +117,6 @@ class QueryPlanner:
         # thread-safe; each executor thread reuses its own).
         self._worker_local = threading.local()
 
-    # -- pickling (process-based query_batch workers) --------------------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_worker_local"]  # holds thread-affine scratch only
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._worker_local = threading.local()
-
     @property
     def calibrated_method(self) -> str | None:
         """The method ``calibrate`` pinned, or None once the catalog changed.

@@ -4,7 +4,9 @@ PR 9's sharded engine scales queries out but keeps exactly one copy of
 every shard: a worker death costs that shard's partition until it
 restarts and recovers *on the same archive*.  This module adds the
 availability half — a :class:`ReplicaSet` pairs each primary shard
-with N follower processes kept current by **WAL shipping**:
+with N follower processes kept current by **WAL shipping**.  This is
+the supervisor's side; the follower's side is the follower role of the
+one worker loop in :mod:`repro.core.worker`:
 
 - The supervisor (the parent process) holds one :class:`~repro.core.
   wal.WalTail` per follower over the primary's on-disk WAL directory.
@@ -49,7 +51,6 @@ promotion aborted, the supervisor falls back to local restart).
 from __future__ import annotations
 
 import logging
-import signal
 import time
 from pathlib import Path
 
@@ -58,9 +59,10 @@ import numpy as np
 from .. import faults
 from ..exceptions import ReproError
 from ..obs import get_registry, span
-from ..serve.protocol import OP_PROMOTE, OP_SHIP, OP_SUBSCRIBE
-from .rpc import RpcError, WorkerDied, recv_frame, send_frame
-from .wal import TailBatch, WalGapError, WalTail, _generation_files, MAGIC
+from ..serve.protocol import OP_PROMOTE, OP_SHIP
+from .rpc import RpcError
+from .wal import WalGapError, WalTail
+from .worker import WorkerError, reap_worker
 
 __all__ = [
     "ReplicaHandle",
@@ -79,230 +81,6 @@ class ReplicationError(ReproError):
 def replica_mirror_name(shard_id: int, replica_id: int) -> str:
     """Mirror WAL directory name for one follower of one shard."""
     return f"shard-{shard_id:02d}.replica-{replica_id}.wal"
-
-
-# -- the follower process ------------------------------------------------
-
-
-class _MirrorWriter:
-    """Append-only writer for a follower's mirror WAL directory.
-
-    Shipped frames are already framed and checksummed; the mirror just
-    needs them on disk (magic-prefixed, generation-numbered) before the
-    apply is acknowledged.  Appends go to the newest generation file —
-    creating ``00000001.wal`` when the mirror is empty — so the mirror
-    replays and lints exactly like a primary WAL directory.
-    """
-
-    def __init__(self, directory: Path):
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        existing = _generation_files(self.directory)
-        path = existing[-1] if existing else self.directory / f"{1:08d}.wal"
-        fresh = not path.exists() or path.stat().st_size == 0
-        self._file = open(path, "ab")
-        if fresh:
-            self._file.write(MAGIC)
-            self._file.flush()
-            import os
-
-            os.fsync(self._file.fileno())
-
-    def append(self, blob: bytes) -> None:
-        import os
-
-        self._file.write(blob)
-        self._file.flush()
-        os.fsync(self._file.fileno())
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-
-
-def _replica_worker_main(conn, options: dict) -> None:
-    """One follower's serving loop: bootstrap, apply ships, maybe promote.
-
-    Bootstrap loads the shard archive (``mmap=True``, page-cache shared
-    with the primary mapping the same file) and replays the *mirror*
-    WAL — so a restarted follower resumes from its own watermark
-    instead of re-shipping history.  A mirror that is wholly covered by
-    the archive (the follower lagged across a checkpoint and was
-    re-bootstrapped) is wiped: its frames are redundant, and keeping
-    them would leave a sequence gap in front of future ships.
-
-    The loop answers read ops (``query``/``status``/``ping``/
-    ``verify``) through the same dispatcher the primary worker uses;
-    write ops bounce off the database's follower mode until a
-    ``promote`` frame arrives, after which the loop *is* a primary
-    worker loop in every respect.
-    """
-    shard_id = options["shard_id"]
-    replica_id = options["replica_id"]
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    epoch = int(options.get("epoch", 0))
-    try:
-        from .persistence import apply_wal_records, load_database
-        from .shard import _ShardIdTable, _replay_id_table, _worker_status
-        from .wal import replay_wal, write_applied_seq
-
-        db = load_database(options["archive"], mmap=True)
-        table = _ShardIdTable.from_extras(
-            getattr(db, "archive_extras", {}).get("shard", {})
-        )
-        db.set_follower(True)
-        mirror = Path(options["mirror"])
-        mirror.mkdir(parents=True, exist_ok=True)
-        records, report = replay_wal(mirror, truncate=True)
-        if report.records and report.last_seq <= db.wal_seq:
-            # every mirrored frame is covered by the archive; a fresh
-            # mirror keeps future ships contiguous from the watermark
-            for path in _generation_files(mirror):
-                path.unlink()
-            records = []
-        replayed: list[tuple[dict, dict | None]] = []
-        apply_wal_records(
-            db,
-            records,
-            from_seq=db.wal_seq,
-            observer=lambda record, info: replayed.append((record, info)),
-        )
-        _replay_id_table(shard_id, table, replayed)
-        if len(table) != len(db):
-            raise ReplicationError(
-                f"shard {shard_id} replica {replica_id}: id table covers "
-                f"{len(table)} series, database holds {len(db)}"
-            )
-        applied = max(db.wal_seq, report.last_seq)
-        write_applied_seq(mirror, applied)
-        writer = _MirrorWriter(mirror)
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            send_frame(conn, {"op": "ready", "status": "error", "error": f"{exc}"})
-        except Exception:
-            pass
-        conn.close()
-        return
-
-    send_frame(
-        conn,
-        {
-            "op": "ready",
-            "status": "ok",
-            "applied_seq": applied,
-            "epoch": epoch,
-            **_worker_status(db, table),
-        },
-    )
-
-    from .shard import _worker_handle
-
-    try:
-        while True:
-            try:
-                header, arrays = recv_frame(conn, None)
-            except WorkerDied:
-                break  # supervisor closed its end
-            op = header.get("op")
-            try:
-                if op == "shutdown":
-                    send_frame(conn, {"op": "ack", "epoch": epoch})
-                    break
-                if op == OP_SUBSCRIBE:
-                    reply: dict = {
-                        "op": "ack",
-                        "applied_seq": applied,
-                        **_worker_status(db, table),
-                    }
-                elif op == OP_SHIP:
-                    try:
-                        faults.fault_point("replication.apply")
-                    except faults.SimulatedCrash:
-                        import os
-
-                        os._exit(17)  # follower died mid-apply
-                    reply = _apply_ship(
-                        db, table, writer, mirror, header, arrays, applied
-                    )
-                    if reply.get("op") == "ack":
-                        applied = int(reply["applied_seq"])
-                elif op == OP_PROMOTE:
-                    try:
-                        faults.fault_point("replication.promote")
-                    except faults.SimulatedCrash:
-                        import os
-
-                        os._exit(17)  # died in the promotion window
-                    from .wal import WriteAheadLog
-
-                    writer.close()
-                    epoch = int(header["epoch"])
-                    db.set_follower(False)
-                    db.attach_wal(
-                        WriteAheadLog(
-                            mirror,
-                            fsync_batch=int(options.get("fsync_batch") or 1),
-                            start_seq=applied,
-                        )
-                    )
-                    reply = {
-                        "op": "ack",
-                        "applied_seq": applied,
-                        "promoted": True,
-                        **_worker_status(db, table),
-                    }
-                else:
-                    reply, reply_arrays = _worker_handle(
-                        db, table, options, header, arrays
-                    )
-                    reply["epoch"] = epoch
-                    send_frame(conn, reply, reply_arrays)
-                    continue
-                reply["epoch"] = epoch
-                send_frame(conn, reply)
-            except Exception as exc:  # noqa: BLE001 - answer, keep serving
-                send_frame(conn, {"op": "error", "error": f"{exc}", "epoch": epoch})
-    finally:
-        db.close()
-        conn.close()
-
-
-def _apply_ship(db, table, writer, mirror, header, arrays, applied) -> dict:
-    """Mirror + apply one shipped frame run; returns the reply header."""
-    from .persistence import apply_wal_records
-    from .shard import _replay_id_table, _worker_status
-    from .wal import parse_frames, write_applied_seq
-
-    first = int(header["first_seq"])
-    if first != applied + 1:
-        return {
-            "op": "error",
-            "error": (
-                f"ship gap: follower applied through {applied}, "
-                f"shipment starts at {first}"
-            ),
-            "applied_seq": applied,
-        }
-    blob = arrays[0].tobytes() if arrays else b""
-    records = parse_frames(blob, expect_seq=first)
-    if not records:
-        return {"op": "ack", "applied_seq": applied, **_worker_status(db, table)}
-    # durability first: the mirror append is fsynced before the apply,
-    # so an acked shipment survives this follower's own death
-    writer.append(blob)
-    replayed: list[tuple[dict, dict | None]] = []
-    with span("replication.apply", records=len(records)):
-        apply_wal_records(
-            db,
-            records,
-            from_seq=applied,
-            observer=lambda record, info: replayed.append((record, info)),
-        )
-    _replay_id_table(None, table, replayed)
-    applied = records[-1]["seq"]
-    write_applied_seq(mirror, applied)
-    return {"op": "ack", "applied_seq": applied, **_worker_status(db, table)}
 
 
 # -- the supervisor side -------------------------------------------------
@@ -398,40 +176,17 @@ class ReplicaSet:
             "epoch": int(engine.manifest["epochs"][shard_id]),
             "fsync_batch": engine.fsync_batch,
         }
-        parent_conn, child_conn = engine._ctx.Pipe(duplex=True)
-        process = engine._ctx.Process(
-            target=_replica_worker_main,
-            args=(child_conn, options),
-            name=f"sts3-shard-{shard_id}-replica-{replica_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
         try:
-            ready, _ = recv_frame(parent_conn, max(engine.rpc_timeout, 30.0))
-        except RpcError as exc:
-            parent_conn.close()
-            process.join(timeout=5.0)
-            logger.warning(
-                "shard %d replica %d failed to start: %s", shard_id, replica_id, exc
-            )
-            return None
-        if ready.get("status") != "ok":
-            parent_conn.close()
-            process.join(timeout=5.0)
-            logger.warning(
-                "shard %d replica %d failed to start: %s",
-                shard_id,
-                replica_id,
-                ready.get("error"),
-            )
+            process, conn, ready = engine._spawn(options)
+        except WorkerError as exc:
+            logger.warning("%s", exc)
             return None
         applied = int(ready["applied_seq"])
         handle = ReplicaHandle(
             shard_id,
             replica_id,
             process,
-            parent_conn,
+            conn,
             applied,
             int(ready["n_series"]),
             WalTail(self.engine.shard_wal_dir(shard_id), from_seq=applied),
@@ -446,13 +201,7 @@ class ReplicaSet:
         if handle is None:
             return
         self.handles[shard_id][replica_id] = None
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=5.0)
+        reap_worker(handle.process, handle.conn)
         self._discard_handle_labels(shard_id, replica_id)
         self._set_live_gauge()
 
@@ -466,14 +215,9 @@ class ReplicaSet:
         for shard_id in range(self.engine.n_shards):
             for replica_id in range(self.n_replicas):
                 handle = self.handles[shard_id][replica_id]
-                if handle is None:
-                    continue
-                try:
-                    send_frame(handle.conn, {"op": "shutdown"})
-                    recv_frame(handle.conn, 5.0)
-                except RpcError:
-                    pass
-                self.reap(shard_id, replica_id)
+                if handle is not None:
+                    self.engine._shutdown(handle)
+                    self.reap(shard_id, replica_id)
 
     def _discard_handle_labels(self, shard_id: int, replica_id: int) -> None:
         # membership changed: retire this follower's *gauge* series so
@@ -556,7 +300,7 @@ class ReplicaSet:
             records=batch.count,
         ):
             try:
-                send_frame(
+                reply = self.engine._rpc(
                     handle.conn,
                     {
                         "op": OP_SHIP,
@@ -566,7 +310,6 @@ class ReplicaSet:
                     },
                     [np.frombuffer(batch.blob, dtype=np.uint8)],
                 )
-                reply, _ = recv_frame(handle.conn, self.engine.rpc_timeout)
             except RpcError:
                 self._rebootstrap(handle, "rpc")
                 return False
@@ -643,8 +386,9 @@ class ReplicaSet:
                 return None
             if self.handles[shard_id][handle.replica_id] is not handle:
                 return None  # ship_one re-bootstrapped it; not current
-            send_frame(handle.conn, {"op": OP_PROMOTE, "epoch": int(epoch)})
-            reply, _ = recv_frame(handle.conn, self.engine.rpc_timeout)
+            reply = self.engine._rpc(
+                handle.conn, {"op": OP_PROMOTE, "epoch": int(epoch)}
+            )
         except (RpcError, WalGapError):
             self.reap(shard_id, handle.replica_id)
             return None

@@ -20,35 +20,51 @@ raw float64 array blobs.  That buys three things at once —
   threads.
 
 The parent is the only writer on its end and each worker serves its
-pipe single-threaded, so requests on one pipe are naturally serialized
-and responses never interleave; scatter-gather parallelism comes from
-having N pipes, not from multiplexing one.
+pipe single-threaded (:func:`repro.core.worker.worker_main`), so
+requests on one pipe are naturally serialized and responses never
+interleave; scatter-gather parallelism comes from having N pipes, not
+from multiplexing one.
 
-Replication followers (:mod:`repro.core.replication`,
-docs/replication.md) speak the same frames over the same pipes: a
-``ship`` carries a contiguous run of raw WAL frames as a uint8 blob,
-``subscribe`` probes a follower's apply watermark, and ``promote``
-flips it into a primary — see ``OP_SHIP``/``OP_SUBSCRIBE``/
-``OP_PROMOTE`` in :mod:`repro.serve.protocol`.
+**Pairing.**  Every request carries a ``req`` number (one counter per
+engine, one number per call or per scatter) and the worker echoes it on
+the reply.  :func:`recv_reply` returns only the frame whose ``req``
+matches and discards older ones, so a reply is only ever paired with
+the request that caused it — a reply left unread by a timeout is
+dropped when it finally arrives instead of answering the next request.
+A frame that does not decode, or whose ``req`` is neither the awaited
+one nor older, means the peer can no longer be trusted to speak the
+protocol and surfaces as :class:`WorkerDied`, which every supervisor
+path already answers by reaping the worker.
+
+Primaries and followers (docs/replication.md) speak the same frames
+over the same pipes: besides the shard ops, a ``ship`` carries a
+contiguous run of raw WAL frames as a uint8 blob, ``subscribe`` probes
+a follower's apply watermark, and ``promote`` flips it into a primary —
+see ``OP_SHIP``/``OP_SUBSCRIBE``/``OP_PROMOTE`` in
+:mod:`repro.serve.protocol`.
 """
 
 from __future__ import annotations
 
+import time
 from multiprocessing.connection import Connection
 from typing import Sequence
 
 import numpy as np
 
 from ..exceptions import ReproError
-from ..serve.protocol import pack_message, unpack_payload
+from ..serve.protocol import ProtocolError, pack_message, unpack_payload
 
 __all__ = [
     "RpcError",
     "RpcTimeout",
     "WorkerDied",
+    "call",
+    "call_packed",
     "send_frame",
     "send_packed",
     "recv_frame",
+    "recv_reply",
 ]
 
 #: length prefix size of a packed frame; Connection.send_bytes frames
@@ -66,17 +82,14 @@ class RpcTimeout(RpcError):
 
 
 class WorkerDied(RpcError):
-    """The worker's end of the pipe is gone (process exited or killed)."""
+    """The peer is gone or unusable (exited, killed, or sent garbage)."""
 
 
 def send_frame(
     conn: Connection, header: dict, arrays: Sequence[np.ndarray] = ()
 ) -> None:
     """Send one protocol frame; raises :class:`WorkerDied` on a torn pipe."""
-    try:
-        conn.send_bytes(pack_message(header, arrays))
-    except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-        raise WorkerDied(f"shard pipe closed while sending: {exc}") from exc
+    send_packed(conn, pack_message(header, arrays))
 
 
 def send_packed(conn: Connection, payload: bytes) -> None:
@@ -100,9 +113,10 @@ def recv_frame(
 
     ``timeout`` bounds the wait in seconds (None blocks forever).
     Raises :class:`RpcTimeout` when nothing arrives in time and
-    :class:`WorkerDied` on EOF — the distinction drives the engine's
-    restart-vs-degrade decision (a dead worker restarts immediately; a
-    hung one is abandoned for this query and restarted behind it).
+    :class:`WorkerDied` on EOF or on bytes that are not a frame — the
+    distinction drives the engine's restart-vs-degrade decision (a dead
+    worker restarts immediately; a hung one is abandoned for this query
+    and restarted behind it).
     """
     try:
         if not conn.poll(timeout):
@@ -112,4 +126,50 @@ def recv_frame(
         payload = conn.recv_bytes()
     except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
         raise WorkerDied(f"shard pipe closed while receiving: {exc}") from exc
-    return unpack_payload(payload[_PREFIX:])
+    try:
+        return unpack_payload(payload[_PREFIX:])
+    except ProtocolError as exc:
+        raise WorkerDied(f"garbled frame on shard pipe: {exc}") from exc
+
+
+def recv_reply(
+    conn: Connection, req: int, timeout: float
+) -> tuple[dict, list[np.ndarray]]:
+    """Receive the reply to request ``req``, discarding older replies.
+
+    ``timeout`` bounds the whole wait, discards included.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        header, arrays = recv_frame(conn, max(deadline - time.monotonic(), 0.0))
+        echoed = header.get("req")
+        if echoed == req:
+            return header, arrays
+        if not isinstance(echoed, int) or echoed > req:
+            raise WorkerDied(
+                f"shard pipe out of step: awaiting reply {req}, got {echoed!r}"
+            )
+
+
+def call(
+    conn: Connection,
+    header: dict,
+    arrays: Sequence[np.ndarray] = (),
+    *,
+    req: int,
+    timeout: float,
+) -> tuple[dict, list[np.ndarray]]:
+    """One request/reply conversation: send ``header`` stamped ``req``,
+    return the reply that echoes it."""
+    return call_packed(
+        conn, pack_message({**header, "req": req}, arrays), req, timeout
+    )
+
+
+def call_packed(
+    conn: Connection, payload: bytes, req: int, timeout: float
+) -> tuple[dict, list[np.ndarray]]:
+    """:func:`call` for a frame already packed with ``req`` in its header
+    (the query scatter packs once and re-sends the same bytes on retry)."""
+    send_packed(conn, payload)
+    return recv_reply(conn, req, timeout)

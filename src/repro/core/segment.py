@@ -130,17 +130,6 @@ class Segment:
         # same lock.
         self._lock = threading.RLock()
 
-    # -- pickling (process-based query_batch workers) --------------------
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_lock"]  # locks don't travel; workers get a fresh one
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     @classmethod
     def build(
         cls,

@@ -48,10 +48,9 @@ Every ``shard-NN.sts3`` is a plain v4 archive: ``sts3 verify`` /
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing as mp
-import os
-import signal
 import threading
 import time
 from bisect import bisect_right
@@ -62,14 +61,14 @@ import numpy as np
 from .. import faults
 from ..exceptions import ParameterError, ReproError
 from ..obs import get_registry, span
-from ..serve.protocol import result_to_wire
+from ..serve.protocol import pack_message
 from ..types import as_series
 from .grid import Bound
 from .heap import KnnHeap
-from .result import Neighbor, QueryResult, SearchStats
-from .rpc import RpcError, WorkerDied, recv_frame, send_frame, send_packed
-from ..serve.protocol import pack_message
+from .result import QueryResult, SearchStats
+from .rpc import RpcError, WorkerDied, call, call_packed, recv_reply, send_packed
 from .segment import grid_for_bound
+from .worker import WorkerError, reap_worker, spawn_worker
 
 __all__ = [
     "DEFAULT_HASH_SEED",
@@ -176,253 +175,6 @@ class HashRing:
         return parts
 
 
-# -- the shard-local id table -------------------------------------------
-
-
-class _ShardIdTable:
-    """Local index → global id mapping for one shard.
-
-    A shard database's global index order is "stored segments, then
-    update buffer" — and a *direct* insert lands before the buffered
-    tail, so one flat list in arrival order would drift.  Two lists
-    mirror the database's structural transitions exactly: direct
-    inserts append to ``stored``, buffered ones to ``buffered``, and a
-    seal moves the buffered block to the end of ``stored`` — the same
-    move the catalog makes with the series themselves.
-    """
-
-    __slots__ = ("stored", "buffered")
-
-    def __init__(self, stored=None, buffered=None):
-        self.stored: list[int] = [int(i) for i in (stored or [])]
-        self.buffered: list[int] = [int(i) for i in (buffered or [])]
-
-    def __len__(self) -> int:
-        return len(self.stored) + len(self.buffered)
-
-    def insert(self, series_id: int, path: str, sealed: bool) -> None:
-        if path == "direct":
-            self.stored.append(int(series_id))
-        else:
-            self.buffered.append(int(series_id))
-            if sealed:
-                self.seal()
-
-    def seal(self) -> None:
-        self.stored.extend(self.buffered)
-        self.buffered = []
-
-    def global_id(self, local_index: int) -> int:
-        if local_index < len(self.stored):
-            return self.stored[local_index]
-        return self.buffered[local_index - len(self.stored)]
-
-    def all_ids(self) -> list[int]:
-        return self.stored + self.buffered
-
-    def max_id(self) -> int:
-        ids = self.all_ids()
-        return max(ids) if ids else -1
-
-    def to_extras(self) -> dict:
-        return {"stored": list(self.stored), "buffered": list(self.buffered)}
-
-    @classmethod
-    def from_extras(cls, extras: dict) -> "_ShardIdTable":
-        return cls(extras.get("stored", []), extras.get("buffered", []))
-
-
-# -- the worker process --------------------------------------------------
-
-
-def _replay_id_table(shard_id, table: _ShardIdTable, replayed) -> None:
-    """Re-apply observed WAL records to the id table.
-
-    ``replayed`` is the ``(record, info)`` stream an
-    :func:`~repro.core.persistence.apply_wal_records` observer
-    collected.  Shared by worker recovery and replication followers —
-    both rebuild the same local→global mapping from the same journal.
-    """
-    where = f"shard {shard_id}" if shard_id is not None else "follower"
-    pending_id: int | None = None
-    for record, info in replayed:
-        op = record["op"]
-        if op == "note":
-            pending_id = int(record["id"])
-        elif op == "insert":
-            if pending_id is None:
-                raise ShardError(
-                    f"{where}: WAL insert at seq "
-                    f"{record['seq']} has no preceding id note"
-                )
-            table.insert(pending_id, info["path"], info["sealed"])
-            pending_id = None
-        elif op == "flush" and info and info["sealed"]:
-            table.seal()
-        # compact/merge preserve stored order: nothing to track
-
-
-def _shard_worker_main(conn, options: dict) -> None:
-    """One shard's serving loop: recover the shard, answer the pipe.
-
-    Runs in a dedicated process.  Startup recovers the shard archive
-    (``mmap=True``: manifest parse now, payload bytes on first touch)
-    and replays its WAL tail, rebuilding the id table from the
-    checkpointed extras plus the journaled ``note`` records; then the
-    loop serves one request at a time until shutdown or EOF (parent
-    gone).  A :class:`~repro.faults.SimulatedCrash` at the
-    ``shard.worker.request`` fault point exits the process hard —
-    that is the deterministic stand-in for ``kill -9``.
-    """
-    shard_id = options["shard_id"]
-    # A terminal Ctrl-C delivers SIGINT to the whole foreground process
-    # group; shutdown is the parent's call (a shutdown frame or pipe
-    # EOF), so workers must not die to the shared signal first.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    epoch = int(options.get("epoch", 0))
-    try:
-        from .persistence import recover_database
-
-        replayed: list[tuple[dict, dict | None]] = []
-        db = recover_database(
-            options["archive"],
-            wal_dir=options.get("wal_dir"),
-            fsync_batch=options.get("fsync_batch"),
-            mmap=True,
-            observer=lambda record, info: replayed.append((record, info)),
-        )
-        table = _ShardIdTable.from_extras(
-            getattr(db, "archive_extras", {}).get("shard", {})
-        )
-        _replay_id_table(shard_id, table, replayed)
-        if len(table) != len(db):
-            raise ShardError(
-                f"shard {shard_id}: id table covers {len(table)} series, "
-                f"database holds {len(db)}"
-            )
-    except BaseException as exc:  # noqa: BLE001 - report, then die
-        try:
-            send_frame(
-                conn,
-                {"op": "ready", "status": "error", "error": f"{exc}"},
-            )
-        except Exception:
-            pass
-        conn.close()
-        return
-
-    send_frame(
-        conn,
-        {"op": "ready", "status": "ok", "epoch": epoch, **_worker_status(db, table)},
-    )
-
-    try:
-        while True:
-            try:
-                header, arrays = recv_frame(conn, None)
-            except WorkerDied:
-                break  # parent closed its end
-            try:
-                faults.fault_point("shard.worker.request")
-            except faults.SimulatedCrash:
-                os._exit(17)  # the injected kill -9
-            op = header.get("op")
-            try:
-                if op == "shutdown":
-                    send_frame(conn, {"op": "ack", "epoch": epoch})
-                    break
-                reply, reply_arrays = _worker_handle(
-                    db, table, options, header, arrays
-                )
-                # every reply carries the worker's fencing epoch; the
-                # parent rejects stale ones (zombie-primary protection)
-                reply.setdefault("epoch", epoch)
-                send_frame(conn, reply, reply_arrays)
-            except Exception as exc:  # noqa: BLE001 - answer, keep serving
-                send_frame(conn, {"op": "error", "error": f"{exc}", "epoch": epoch})
-    finally:
-        db.close()
-        conn.close()
-
-
-def _worker_status(db, table: _ShardIdTable) -> dict:
-    return {
-        "n_series": len(db),
-        "stored": len(table.stored),
-        "buffered": len(table.buffered),
-        "segments": len(db.catalog.segments),
-        "max_id": table.max_id(),
-        "wal_lag": (
-            db.wal.records_since_checkpoint if db.wal is not None else 0
-        ),
-        "wal_seq": db.wal.last_seq if db.wal is not None else db.wal_seq,
-        "checkpoint_seq": (
-            db.wal.checkpoint_seq if db.wal is not None else db.wal_seq
-        ),
-    }
-
-
-def _worker_handle(db, table, options, header, arrays):
-    """Dispatch one request; returns ``(response_header, response_arrays)``."""
-    op = header.get("op")
-    if op == "ping":
-        return {"op": "pong", **_worker_status(db, table)}, ()
-    if op == "status":
-        return {"op": "status", **_worker_status(db, table)}, ()
-    if op == "verify":
-        return {"op": "verify", "problems": db.verify_integrity()}, ()
-    if op == "query":
-        results = db.query_batch(
-            list(arrays),
-            k=int(header["k"]),
-            method=header.get("method", "auto"),
-            scale=header.get("scale"),
-            max_scale=header.get("max_scale"),
-            deadline_ms=header.get("deadline_ms"),
-        )
-        wired = []
-        for result in results:
-            # Translate shard-local indices to global ids here, where
-            # the table lives; the parent merges on ids alone.
-            result.neighbors = [
-                Neighbor(similarity=n.similarity, index=table.global_id(n.index))
-                for n in result.neighbors
-            ]
-            wired.append(result_to_wire(result))
-        return {"op": "result", "results": wired}, ()
-    if op == "insert":
-        series_id = int(header["id"])
-        prepared = db._prepare(arrays[0])
-        # The id note precedes the insert record, so a replayed WAL
-        # prefix always pairs them (a torn tail can orphan a note,
-        # never an insert).
-        if db.wal is not None:
-            db.wal.append("note", id=series_id)
-        buffered_before = len(db.buffer)
-        rebuilds_before = db.rebuild_count
-        db._insert_prepared(prepared)
-        if len(db.buffer) == buffered_before + 1:
-            path, sealed = "buffered", False
-        elif db.rebuild_count > rebuilds_before:
-            path, sealed = "buffered", True
-        else:
-            path, sealed = "direct", False
-        table.insert(series_id, path, sealed)
-        return {
-            "op": "ack",
-            "id": series_id,
-            "path": path,
-            "sealed_segment": sealed,
-            **_worker_status(db, table),
-        }, ()
-    if op == "checkpoint":
-        db.checkpoint(
-            options["archive"], extras={"shard": table.to_extras()}
-        )
-        return {"op": "ack", **_worker_status(db, table)}, ()
-    raise ShardError(f"unknown shard RPC op {op!r}")
-
-
 # -- the parent-side engine ----------------------------------------------
 
 
@@ -514,10 +266,16 @@ class ShardedDatabase:
         #: tail, so shipping consults this to force the re-bootstrap.
         self._primary_ckpt: list[int] = [0] * self.n_shards
         self._next_id = 0
+        #: request numbers (core/rpc.py): one per call, one per scatter,
+        #: echoed by the worker so a reply is only ever paired with the
+        #: request that caused it.
+        self._reqs = itertools.count(1)
         self._lock = threading.RLock()
         self._closed = False
-        available = mp.get_all_start_methods()
-        self._ctx = mp.get_context("fork" if "fork" in available else None)
+        try:
+            self._ctx = mp.get_context("fork")
+        except ValueError:  # no fork on this platform: its default
+            self._ctx = mp.get_context()
         n_replicas = (
             int(manifest["replicas"]) if replicas is None else int(replicas)
         )
@@ -751,8 +509,29 @@ class ShardedDatabase:
 
     # -- worker lifecycle -----------------------------------------------
 
+    def _rpc(self, conn, header: dict, arrays=(), timeout=None) -> dict:
+        """One request/reply conversation on ``conn`` (engine lock held);
+        returns the reply header without its transport ``req`` echo."""
+        reply, _ = call(
+            conn, header, arrays, req=next(self._reqs),
+            timeout=self.rpc_timeout if timeout is None else timeout,
+        )
+        del reply["req"]
+        return reply
+
+    def _spawn(self, options: dict):
+        """Start one worker of either role: ``(process, conn, ready)``."""
+        return spawn_worker(self._ctx, options, max(self.rpc_timeout, 30.0))
+
+    def _shutdown(self, handle) -> None:
+        """Ask a worker of either role to exit; the caller reaps it next."""
+        try:
+            self._rpc(handle.conn, {"op": "shutdown"}, timeout=5.0)
+        except RpcError:
+            pass
+
     def _spawn_worker(self, shard_id: int) -> dict:
-        """Start (or restart) one worker; returns its ready status."""
+        """Start (or restart) one primary; returns its ready status."""
         archive = self.directory / self.manifest["files"][shard_id]
         options = {
             "shard_id": shard_id,
@@ -761,29 +540,12 @@ class ShardedDatabase:
             "fsync_batch": self.fsync_batch,
             "epoch": int(self.manifest["epochs"][shard_id]),
         }
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(child_conn, options),
-            name=f"sts3-shard-{shard_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
         try:
-            ready, _ = recv_frame(parent_conn, max(self.rpc_timeout, 30.0))
-        except RpcError as exc:
-            parent_conn.close()
-            process.join(timeout=5.0)
-            raise ShardError(f"shard {shard_id} failed to start: {exc}") from exc
-        if ready.get("status") != "ok":
-            parent_conn.close()
-            process.join(timeout=5.0)
-            raise ShardError(
-                f"shard {shard_id} failed to start: {ready.get('error')}"
-            )
+            process, conn, ready = self._spawn(options)
+        except WorkerError as exc:
+            raise ShardError(str(exc)) from exc
         self._workers[shard_id] = _WorkerHandle(
-            shard_id, process, parent_conn, int(ready["n_series"])
+            shard_id, process, conn, int(ready["n_series"])
         )
         self._next_id = max(self._next_id, int(ready["max_id"]) + 1)
         self._primary_seq[shard_id] = int(ready.get("wal_seq", 0))
@@ -819,13 +581,7 @@ class ShardedDatabase:
         if handle is None:
             return
         self._workers[shard_id] = None
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        if handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=5.0)
+        reap_worker(handle.process, handle.conn)
         self._set_live_gauge()
 
     def _restart_worker(self, shard_id: int) -> dict | None:
@@ -924,11 +680,7 @@ class ShardedDatabase:
             handle = self._workers[shard_id]
             if handle is not None:
                 self._replicas.ship(shard_id)
-                try:
-                    send_frame(handle.conn, {"op": "shutdown"})
-                    recv_frame(handle.conn, 5.0)
-                except RpcError:
-                    pass
+                self._shutdown(handle)
                 self._reap_worker(shard_id)
             ready = self._failover(shard_id)
             if ready is None:
@@ -938,6 +690,12 @@ class ShardedDatabase:
                     + ("" if restarted else " and the primary failed to restart")
                 )
             return ready
+
+    def _primary(self, shard_id: int) -> _WorkerHandle | None:
+        """This shard's primary — restarted, else failed over, if down."""
+        if self._workers[shard_id] is None and self._restart_worker(shard_id) is None:
+            self._failover(shard_id)
+        return self._workers[shard_id]
 
     def _ensure_worker(self, shard_id: int) -> _WorkerHandle:
         handle = self._workers[shard_id]
@@ -1024,6 +782,8 @@ class ShardedDatabase:
         """
         if method not in _METHODS:
             raise ParameterError(f"unknown method {method!r}; one of {_METHODS}")
+        if k < 1:
+            raise ParameterError(f"k must be >= 1, got {k}")
         if not queries:
             return []
         pref = self.read_preference if read_preference is None else read_preference
@@ -1047,75 +807,18 @@ class ShardedDatabase:
             "max_scale": max_scale,
             "deadline_ms": remaining_ms,
         }
-        # Queries are not partitioned: every shard receives the whole
-        # batch, so the frame is packed once and the same bytes fan out.
-        packed = pack_message(header, arrays)
         requests = get_registry().counter(
             "sts3_shard_requests_total", "shard RPCs issued, by op and shard"
         )
         with self._lock:
             self._require_open()
+            header["req"] = next(self._reqs)  # one number for the whole scatter
             if pref != "primary" and self._replicas is not None:
                 responses, failed = self._striped_scatter(
                     arrays, header, pref, requests
                 )
-                results = self._merge(len(arrays), k, responses, failed)
-                get_registry().counter(
-                    "sts3_shard_queries_total",
-                    "queries answered by the sharded engine",
-                ).inc(len(arrays), method=method)
-                if failed:
-                    get_registry().counter(
-                        "sts3_shard_skipped_total",
-                        "queries answered with at least one shard missing",
-                    ).inc(len(arrays))
-                return results
-            sent: list[int] = []
-            failed: list[int] = []
-            responses: list[tuple[int, dict]] = []
-            with span("shard.scatter", shards=self.n_shards, queries=len(arrays)):
-                for shard_id in range(self.n_shards):
-                    handle = self._workers[shard_id]
-                    if handle is None and self._restart_worker(shard_id) is None:
-                        if self._failover(shard_id) is None:
-                            failed.append(shard_id)
-                            continue
-                    handle = self._workers[shard_id]
-                    try:
-                        send_packed(handle.conn, packed)
-                        requests.inc(op="query", shard=str(shard_id))
-                        sent.append(shard_id)
-                    except WorkerDied:
-                        reply = self._recover_and_retry(
-                            shard_id, "send-eof", packed, requests
-                        )
-                        if reply is not None:
-                            responses.append((shard_id, reply))
-                        else:
-                            failed.append(shard_id)
-            with span("shard.gather", shards=len(sent)):
-                for shard_id in sent:
-                    handle = self._workers[shard_id]
-                    try:
-                        reply, _ = recv_frame(handle.conn, self.rpc_timeout)
-                    except RpcError as exc:
-                        kind = (
-                            "timeout" if not isinstance(exc, WorkerDied) else "eof"
-                        )
-                        reply = self._recover_and_retry(
-                            shard_id, kind, packed, requests
-                        )
-                        if reply is None:
-                            failed.append(shard_id)
-                            continue
-                    if not self._epoch_ok(shard_id, reply):
-                        failed.append(shard_id)
-                        continue
-                    if reply.get("op") == "error":
-                        raise ShardError(
-                            f"shard {shard_id} query failed: {reply.get('error')}"
-                        )
-                    responses.append((shard_id, reply))
+            else:
+                responses, failed = self._scatter(arrays, header, requests)
             results = self._merge(len(arrays), k, responses, failed)
         get_registry().counter(
             "sts3_shard_queries_total", "queries answered by the sharded engine"
@@ -1127,7 +830,66 @@ class ShardedDatabase:
             ).inc(len(arrays))
         return results
 
-    def _recover_and_retry(self, shard_id, kind, packed, requests) -> dict | None:
+    def _scatter(self, arrays, header, requests):
+        """Send one batch to every primary, then gather every reply.
+
+        Returns the ``(responses, failed)`` shape :meth:`_merge`
+        consumes.  A shard that answers ``op: "error"`` fails the whole
+        query — but only after every shard that was sent the request
+        has been read, so no reply is left behind in a pipe.
+        """
+        # Queries are not partitioned: every shard receives the whole
+        # batch, so the frame is packed once and the same bytes fan out.
+        req = header["req"]
+        packed = pack_message(header, arrays)
+        sent: list[int] = []
+        failed: list[int] = []
+        errors: list[str] = []
+        responses: list[tuple[int, dict]] = []
+        with span("shard.scatter", shards=self.n_shards, queries=len(arrays)):
+            for shard_id in range(self.n_shards):
+                handle = self._primary(shard_id)
+                if handle is None:
+                    failed.append(shard_id)
+                    continue
+                try:
+                    send_packed(handle.conn, packed)
+                    requests.inc(op="query", shard=str(shard_id))
+                    sent.append(shard_id)
+                except WorkerDied:
+                    reply = self._recover_and_retry(
+                        shard_id, "send-eof", packed, req, requests
+                    )
+                    if reply is not None:
+                        responses.append((shard_id, reply))
+                    else:
+                        failed.append(shard_id)
+        with span("shard.gather", shards=len(sent)):
+            for shard_id in sent:
+                handle = self._workers[shard_id]
+                try:
+                    reply, _ = recv_reply(handle.conn, req, self.rpc_timeout)
+                except RpcError as exc:
+                    kind = "timeout" if not isinstance(exc, WorkerDied) else "eof"
+                    reply = self._recover_and_retry(
+                        shard_id, kind, packed, req, requests
+                    )
+                    if reply is None:
+                        failed.append(shard_id)
+                        continue
+                if not self._epoch_ok(shard_id, reply):
+                    failed.append(shard_id)
+                elif reply.get("op") == "error":
+                    errors.append(
+                        f"shard {shard_id} query failed: {reply.get('error')}"
+                    )
+                else:
+                    responses.append((shard_id, reply))
+        if errors:
+            raise ShardError(errors[0])
+        return responses, failed
+
+    def _recover_and_retry(self, shard_id, kind, packed, req, requests) -> dict | None:
         """Handle a mid-query worker failure; retry only after failover.
 
         Without replicas the contract is unchanged from the original
@@ -1144,9 +906,8 @@ class ShardedDatabase:
         if handle is None:
             return None
         try:
-            send_packed(handle.conn, packed)
             requests.inc(op="query", shard=str(shard_id))
-            reply, _ = recv_frame(handle.conn, self.rpc_timeout)
+            reply, _ = call_packed(handle.conn, packed, req, self.rpc_timeout)
         except RpcError:
             return None
         if reply.get("op") != "result" or not self._epoch_ok(shard_id, reply):
@@ -1227,7 +988,9 @@ class ShardedDatabase:
                         self._endpoint_failed(shard_id, endpoint)
                         continue
                     try:
-                        reply, _ = recv_frame(endpoint.conn, self.rpc_timeout)
+                        reply, _ = recv_reply(
+                            endpoint.conn, header["req"], self.rpc_timeout
+                        )
                     except RpcError:
                         healthy = False
                         self._endpoint_failed(shard_id, endpoint)
@@ -1262,22 +1025,19 @@ class ShardedDatabase:
 
     def _full_primary_query(self, shard_id, header, arrays, requests) -> dict | None:
         """Fallback: the primary answers the whole batch for one shard."""
-        handle = self._workers[shard_id]
+        handle = self._primary(shard_id)
         if handle is None:
-            if (
-                self._restart_worker(shard_id) is None
-                and self._failover(shard_id) is None
-            ):
-                return None
-            handle = self._workers[shard_id]
-        packed = pack_message(header, arrays)
+            return None
+        # a conversation of its own, so a number of its own: this pipe
+        # may already have carried a stripe of the scatter's request
+        req = next(self._reqs)
+        packed = pack_message({**header, "req": req}, arrays)
         try:
-            send_packed(handle.conn, packed)
             requests.inc(op="query", shard=str(shard_id))
-            reply, _ = recv_frame(handle.conn, self.rpc_timeout)
+            reply, _ = call_packed(handle.conn, packed, req, self.rpc_timeout)
         except RpcError as exc:
             kind = "timeout" if not isinstance(exc, WorkerDied) else "eof"
-            return self._recover_and_retry(shard_id, kind, packed, requests)
+            return self._recover_and_retry(shard_id, kind, packed, req, requests)
         if reply.get("op") != "result" or not self._epoch_ok(shard_id, reply):
             return None
         return reply
@@ -1368,8 +1128,9 @@ class ShardedDatabase:
                 "sts3_shard_requests_total", "shard RPCs issued, by op and shard"
             ).inc(op="insert", shard=str(shard_id))
             try:
-                send_frame(handle.conn, {"op": "insert", "id": series_id}, [arr])
-                reply, _ = recv_frame(handle.conn, self.rpc_timeout)
+                reply = self._rpc(
+                    handle.conn, {"op": "insert", "id": series_id}, [arr]
+                )
             except RpcError as exc:
                 kind = "timeout" if not isinstance(exc, WorkerDied) else "eof"
                 ready = self._worker_failed(shard_id, kind)
@@ -1440,8 +1201,10 @@ class ShardedDatabase:
                 self._replicas.ship_all()
             for shard_id in range(self.n_shards):
                 handle = self._ensure_worker(shard_id)
-                send_frame(handle.conn, {"op": "checkpoint"})
-                reply, _ = recv_frame(handle.conn, max(self.rpc_timeout, 60.0))
+                reply = self._rpc(
+                    handle.conn, {"op": "checkpoint"},
+                    timeout=max(self.rpc_timeout, 60.0),
+                )
                 if reply.get("op") != "ack":
                     raise ShardError(
                         f"checkpoint failed on shard {shard_id}: "
@@ -1481,8 +1244,7 @@ class ShardedDatabase:
                 handle = self._workers[shard_id]
                 if handle is not None:
                     try:
-                        send_frame(handle.conn, {"op": "status"})
-                        reply, _ = recv_frame(handle.conn, self.rpc_timeout)
+                        reply = self._rpc(handle.conn, {"op": "status"})
                         entry.update(reply)
                         entry["alive"] = True
                         entry.pop("op", None)
@@ -1584,8 +1346,10 @@ class ShardedDatabase:
                     problems.append(f"shard-{shard_id}: worker down")
                     continue
                 try:
-                    send_frame(handle.conn, {"op": "verify"})
-                    reply, _ = recv_frame(handle.conn, max(self.rpc_timeout, 60.0))
+                    reply = self._rpc(
+                        handle.conn, {"op": "verify"},
+                        timeout=max(self.rpc_timeout, 60.0),
+                    )
                 except RpcError as exc:
                     problems.append(f"shard-{shard_id}: verify RPC failed ({exc})")
                     continue
@@ -1611,14 +1375,9 @@ class ShardedDatabase:
                 self._replicas = None
             for shard_id in range(self.n_shards):
                 handle = self._workers[shard_id]
-                if handle is None:
-                    continue
-                try:
-                    send_frame(handle.conn, {"op": "shutdown"})
-                    recv_frame(handle.conn, 5.0)
-                except RpcError:
-                    pass
-                self._reap_worker(shard_id)
+                if handle is not None:
+                    self._shutdown(handle)
+                    self._reap_worker(shard_id)
 
     def __enter__(self) -> "ShardedDatabase":
         return self

@@ -26,12 +26,12 @@ the *active tracer*:
 
 Nesting is tracked per thread (each thread has its own open-span
 stack), so concurrent queries interleave without corrupting each
-other's parentage.  Forked worker processes (``query_batch`` with
-``workers=N``) inherit the active tracer copy-on-write: spans recorded
-*inside* a worker die with the worker process, while the parent's own
-spans — including the ``query_batch`` root that was open across the
-fork — close normally.  Orphaned parent ids are tolerated everywhere
-(such spans are treated as roots when a tree is built).
+other's parentage.  Forked worker processes (the shard and replica
+workers of :mod:`repro.core.worker`) inherit the active tracer
+copy-on-write: spans recorded *inside* a worker stay in the worker
+process, while the parent's own spans — including any that were open
+across the fork — close normally.  Orphaned parent ids are tolerated
+everywhere (such spans are treated as roots when a tree is built).
 
 The module is intentionally zero-dependency (stdlib only) so every
 layer of the system can import it without cycles.

@@ -70,8 +70,13 @@ def _query_params(header: dict) -> dict:
     method = header.get("method", "auto")
     if not isinstance(method, str):
         raise ServeError("BAD_REQUEST", "method must be a string")
+    k = _int_or_none(header.get("k"), "k")
+    if k is None:
+        k = 1
+    elif k < 1:
+        raise ServeError("BAD_REQUEST", f"k must be >= 1, got {k}")
     return {
-        "k": _int_or_none(header.get("k", 1), "k") or 1,
+        "k": k,
         "method": method,
         "scale": _int_or_none(header.get("scale"), "scale"),
         "max_scale": _int_or_none(header.get("max_scale"), "max_scale"),

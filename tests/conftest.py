@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -17,6 +19,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def ticking_clock(step: float):
+    """A fake monotonic clock advancing ``step`` seconds per call.
+
+    Call ``i`` returns ``i * step`` — the values ``np.arange(0, stop,
+    step)`` holds, without materialising them (at ``step=0.0001`` the
+    array the previous copies built was 7.5 GiB).
+    """
+    ticks = itertools.count()
+    return lambda: next(ticks) * step
 
 
 @pytest.fixture(scope="session")

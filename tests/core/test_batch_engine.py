@@ -64,12 +64,12 @@ class TestDatabaseBatchParity:
         batch = db.query_batch(queries, k=k, method="index")
         _assert_identical(scalar, batch)
 
-    @pytest.mark.parametrize("workers", [None, 1, 2, 3])
-    def test_matches_scalar_loop_any_workers(self, workload, workers):
+    @pytest.mark.parametrize("max_workers", [None, 1, 2, 3])
+    def test_matches_scalar_loop_any_workers(self, workload, max_workers):
         database, queries = workload
-        db = STS3Database(database, sigma=4, epsilon=0.5)
+        db = STS3Database(database, sigma=4, epsilon=0.5, max_workers=max_workers)
         scalar = [db.query(q, k=3, method="index") for q in queries]
-        batch = db.query_batch(queries, k=3, method="index", workers=workers)
+        batch = db.query_batch(queries, k=3, method="index")
         _assert_identical(scalar, batch)
 
     def test_duplicate_queries_get_duplicate_answers(self, workload):

@@ -3,7 +3,7 @@
 Covers the DESIGN.md §13 cache contracts at three layers:
 
 - :class:`LRUBytesCache` in isolation — byte-budgeted LRU order,
-  disabled-cache behavior, pickling, counters;
+  disabled-cache behavior, counters;
 - the query-result cache on :class:`STS3Database` — hits are
   bit-identical detached copies, deadline queries bypass the cache,
   and every structural change (buffered insert, sealing insert, flush,
@@ -11,8 +11,6 @@ Covers the DESIGN.md §13 cache contracts at three layers:
   served via the catalog-generation key component;
 - the candidate cache inside the approximate searcher.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -112,15 +110,6 @@ class TestLRUBytesCache:
         misses = fresh_registry.counter("sts3_cache_misses_total")
         assert misses.value(cache="result") == 1.0
         assert misses.value(cache="candidate") == 1.0
-
-    def test_pickle_drops_entries_keeps_shape(self):
-        cache = QueryResultCache(512)
-        cache.put("a", 1, 10)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert isinstance(clone, QueryResultCache)
-        assert clone.capacity_bytes == 512
-        assert clone.name == "result"
-        assert len(clone) == 0  # workers start cold
 
     def test_fingerprint_is_stable_and_separator_safe(self):
         assert fingerprint(b"ab", b"c") == fingerprint(b"ab", b"c")

@@ -20,13 +20,9 @@ from repro.core import QuarantineRecord
 from repro.core.planner import DEADLINE_SOFT_FRACTION, SMALL_SEGMENT
 from repro.obs import get_registry
 
+from ..conftest import ticking_clock
+
 LENGTH = 48
-
-
-def ticking_clock(step):
-    """A fake monotonic clock advancing ``step`` seconds per call."""
-    ticks = iter(np.arange(0.0, 10_000.0, step))
-    return lambda: float(next(ticks))
 
 
 @pytest.fixture

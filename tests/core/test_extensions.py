@@ -1,8 +1,7 @@
 """Tests for the paper's extension features.
 
-Per-axis value cell sizes (Section 5.1), parallel batch queries
-(conclusion's future work), and their interaction with the standard
-search paths.
+Per-axis value cell sizes (Section 5.1), batch queries, and their
+interaction with the standard search paths.
 """
 
 import numpy as np
@@ -70,16 +69,7 @@ class TestQueryBatch:
             single = db.query(q, k=3, method="index")
             assert result.indices() == single.indices()
 
-    @pytest.mark.parametrize("method", ["naive", "index", "pruning", "approximate"])
-    def test_parallel_matches_sequential(self, db_and_queries, method):
-        db, queries = db_and_queries
-        sequential = db.query_batch(queries, k=2, method=method)
-        parallel = db.query_batch(queries, k=2, method=method, workers=4)
-        for a, b in zip(sequential, parallel):
-            assert a.indices() == b.indices()
-            assert a.similarities() == b.similarities()
-
     def test_auto_method_resolved_once(self, db_and_queries):
         db, queries = db_and_queries
-        results = db.query_batch(queries[:3], k=1, method="auto", workers=2)
+        results = db.query_batch(queries[:3], k=1, method="auto")
         assert len(results) == 3

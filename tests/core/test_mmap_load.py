@@ -12,11 +12,9 @@ pin the contract:
   exactly like the eager loader;
 - payload corruption the open-time check cannot see raises
   :class:`DatasetError` on first touch instead of returning garbage;
-- pre-v4 archives fall back to the eager loader;
-- a mapped database still pickles (worker processes re-map lazily).
+- pre-v4 archives fall back to the eager loader.
 """
 
-import pickle
 import struct
 
 import numpy as np
@@ -165,14 +163,6 @@ class TestFallbackAndTransport:
         query = rng.normal(size=LENGTH)
         assert fingerprint_of(loaded.query(query, k=5, method="index")) == \
             fingerprint_of(db.query(query, k=5, method="index"))
-
-    def test_mapped_database_pickles_and_answers(self, archive):
-        path, _, rng = archive
-        mapped = load_database(path, mmap=True)
-        clone = pickle.loads(pickle.dumps(mapped))
-        query = rng.normal(size=LENGTH)
-        assert fingerprint_of(clone.query(query, k=5, method="index")) == \
-            fingerprint_of(mapped.query(query, k=5, method="index"))
 
     def test_buffer_loads_eagerly_even_when_mapped(self, archive):
         path, db, rng = archive

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from repro import STS3Database
 from repro.core.executor import ExecutorPool, get_pool, resolve_workers
 
+from ..conftest import ticking_clock
+
 LENGTH = 40
 WORKER_COUNTS = (1, 2, 8)
 
@@ -127,12 +129,6 @@ class TestParallelBitIdentity:
         got = fingerprints(db.query_batch(queries, k=k, method="index"))
         db.max_workers = None
         assert got == want
-
-
-def ticking_clock(step):
-    """A fake monotonic clock advancing ``step`` seconds per call."""
-    ticks = iter(np.arange(0.0, 100_000.0, step))
-    return lambda: float(next(ticks))
 
 
 class TestDeadlineLadderUnderParallelism:

@@ -11,7 +11,6 @@ import pytest
 
 from repro import STS3Database
 from repro.core.planner import SMALL_SEGMENT, QueryPlanner, SegmentPlan
-from repro.exceptions import ParameterError
 
 
 def _spiked(rng, length, spike):
@@ -82,42 +81,6 @@ class TestPlanning:
         db, _ = segmented_db
         planner = QueryPlanner(db.catalog)
         assert planner.resolve_auto() == "pruning"  # short series everywhere
-
-
-class TestWorkerStartMethods:
-    """Satellite: explicit picklable worker context works under spawn."""
-
-    def test_spawn_matches_sequential(self, segmented_db):
-        db, rng = segmented_db
-        queries = [rng.normal(size=40) for _ in range(4)]
-        sequential = db.query_batch(queries, k=3, method="index")
-        spawned = db.query_batch(
-            queries, k=3, method="index", workers=2, start_method="spawn"
-        )
-        assert [
-            [(n.index, n.similarity) for n in r.neighbors] for r in spawned
-        ] == [[(n.index, n.similarity) for n in r.neighbors] for r in sequential]
-        for got, want in zip(spawned, sequential):
-            assert got.stats == want.stats
-
-    def test_fork_matches_sequential(self, segmented_db):
-        db, rng = segmented_db
-        queries = [rng.normal(size=40) for _ in range(5)]
-        sequential = db.query_batch(queries, k=2, method="pruning")
-        forked = db.query_batch(
-            queries, k=2, method="pruning", workers=2, start_method="fork"
-        )
-        assert [
-            [(n.index, n.similarity) for n in r.neighbors] for r in forked
-        ] == [[(n.index, n.similarity) for n in r.neighbors] for r in sequential]
-
-    def test_unknown_start_method_raises(self, segmented_db):
-        db, rng = segmented_db
-        with pytest.raises(ParameterError):
-            db.query_batch(
-                [rng.normal(size=40) for _ in range(3)],
-                k=1, method="index", workers=2, start_method="carrier-pigeon",
-            )
 
 
 class TestMergeDeterminism:

@@ -77,11 +77,12 @@ class TestCompactMatchesScratch:
         assert _answers(db, queries, method) == _answers(scratch, queries, method)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_query_batch_parity(self, seed, workers):
+    @pytest.mark.parametrize("max_workers", [None, 2])
+    def test_query_batch_parity(self, seed, max_workers):
         base, extras, queries = _workload(seed)
         db = STS3Database(
-            base, sigma=2, epsilon=0.4, normalize=False, buffer_capacity=3
+            base, sigma=2, epsilon=0.4, normalize=False, buffer_capacity=3,
+            max_workers=max_workers,
         )
         for series in extras:
             db.insert(series)
@@ -90,8 +91,8 @@ class TestCompactMatchesScratch:
         scratch = STS3Database(
             base + extras, sigma=2, epsilon=0.4, normalize=False, buffer_capacity=3
         )
-        got = db.query_batch(queries, k=4, method="index", workers=workers)
-        want = scratch.query_batch(queries, k=4, method="index", workers=workers)
+        got = db.query_batch(queries, k=4, method="index")
+        want = scratch.query_batch(queries, k=4, method="index")
         assert [
             [(n.index, n.similarity) for n in r.neighbors] for r in got
         ] == [[(n.index, n.similarity) for n in r.neighbors] for r in want]

@@ -20,9 +20,9 @@ from repro.core.shard import (
     DEFAULT_VNODES,
     HashRing,
     ShardedDatabase,
-    _ShardIdTable,
     _splitmix64,
 )
+from repro.core.worker import _ShardIdTable
 from repro.exceptions import ParameterError
 
 # Golden values computed once at PR time.  If these ever fail, the

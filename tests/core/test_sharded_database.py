@@ -10,15 +10,19 @@ lifecycle, not for throughput):
 2. **durability** — an acknowledged insert survives SIGKILL of its
    owning worker and a close/reopen without checkpoint,
 3. **degradation** — a query during an outage names the missing shard
-   instead of raising, and the next query heals.
+   instead of raising, and the next query heals,
+4. **pairing** — a reply is only ever matched with the request that
+   caused it: a rejected query, an error reply or a garbled frame never
+   shifts later answers onto earlier requests.
 """
 
 import numpy as np
 import pytest
 
 from repro import STS3Database
+from repro.core import worker
 from repro.core.shard import HashRing, ShardedDatabase, ShardError
-from repro.exceptions import ParameterError
+from repro.exceptions import ParameterError, ReproError
 
 LENGTH = 32
 SIGMA = 2
@@ -110,6 +114,15 @@ class TestParity:
         try:
             with pytest.raises(ParameterError):
                 sharded.query(rng.normal(size=LENGTH), method="nope")
+        finally:
+            sharded.close()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, tmp_path, k):
+        _, sharded, rng = build_pair(tmp_path, n_series=60)
+        try:
+            with pytest.raises(ParameterError):
+                sharded.query(rng.normal(size=LENGTH), k=k)
         finally:
             sharded.close()
 
@@ -259,6 +272,89 @@ class TestFaults:
             assert restarts.value(shard="0") >= before + 1
             assert "sts3_shard_restarts_total" in get_registry().to_prometheus()
         finally:
+            sharded.close()
+
+
+class TestReplyPairing:
+    """After any failed conversation the engine still answers like one
+    that never failed (``single`` — the bit-identity reference)."""
+
+    def test_rejected_query_does_not_poison_later_answers(self, tmp_path):
+        single, sharded, rng = build_pair(tmp_path, n_series=60)
+        try:
+            queries = make_series(rng, 3)
+            with pytest.raises(ReproError):
+                sharded.query(queries[0], k=0)
+            got = [sharded.query(q, k=3) for q in queries]
+            assert all(r.complete for r in got)
+            assert hex_answers(got) == hex_answers(
+                [single.query(q, k=3) for q in queries]
+            )
+        finally:
+            single.close()
+            sharded.close()
+
+    @pytest.mark.parametrize("bad_shard", [0, 1], ids=["first", "last"])
+    def test_error_reply_from_one_shard_leaves_later_answers_intact(
+        self, tmp_path, monkeypatch, bad_shard
+    ):
+        real_handle = worker._Worker.handle
+
+        def handle(self, header, arrays):
+            if header.get("k") == 13 and self.options["shard_id"] == bad_shard:
+                raise RuntimeError("injected handler failure")
+            return real_handle(self, header, arrays)
+
+        # workers fork from this process, patch included
+        monkeypatch.setattr(worker._Worker, "handle", handle)
+        single, sharded, rng = build_pair(tmp_path, n_series=60)
+        try:
+            queries = make_series(rng, 3)
+            with pytest.raises(ShardError, match="injected handler failure"):
+                sharded.query(queries[0], k=13)
+            got = [sharded.query(q, k=3) for q in queries]
+            assert all(r.complete for r in got)
+            assert hex_answers(got) == hex_answers(
+                [single.query(q, k=3) for q in queries]
+            )
+        finally:
+            single.close()
+            sharded.close()
+
+    def test_garbled_reply_degrades_that_shard_then_heals(
+        self, tmp_path, monkeypatch
+    ):
+        real_handle, real_send = worker._Worker.handle, worker.send_frame
+        garble = []
+
+        def handle(self, header, arrays):
+            if header.get("k") == 13 and self.options["shard_id"] == 1:
+                garble.append(True)
+            return real_handle(self, header, arrays)
+
+        def send(conn, header, arrays=()):
+            if garble:
+                conn.send_bytes(b"\xff not a frame")
+            else:
+                real_send(conn, header, arrays)
+
+        monkeypatch.setattr(worker._Worker, "handle", handle)
+        monkeypatch.setattr(worker, "send_frame", send)
+        single, sharded, rng = build_pair(tmp_path, n_series=60)
+        try:
+            queries = make_series(rng, 3)
+            degraded = sharded.query(queries[0], k=13)
+            assert not degraded.complete
+            assert degraded.skipped_shards == ["shard-1"]
+            # the lying worker was replaced (a fresh fork, nothing to
+            # garble yet): complete answers again, and the right ones
+            got = [sharded.query(q, k=3) for q in queries]
+            assert all(r.complete for r in got)
+            assert hex_answers(got) == hex_answers(
+                [single.query(q, k=3) for q in queries]
+            )
+        finally:
+            single.close()
             sharded.close()
 
 

@@ -183,43 +183,6 @@ class TestThreads:
         assert len(tracer.finished()) == 4
 
 
-class TestWorkerForks:
-    def test_query_batch_fork_keeps_parent_trace_well_formed(self, small_db,
-                                                             small_workload):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            results = small_db.query_batch(
-                small_workload.queries[:4], k=3, method="index", workers=2
-            )
-        assert len(results) == 4
-        counts = tracer.stage_counts()
-        # the parent's root span closed normally across the fork
-        assert counts.get("query_batch") == 1
-        # worker-process spans died with the workers: every recorded
-        # span still resolves into one single-rooted forest
-        forest = tracer.to_dicts()
-
-        def count(nodes):
-            return sum(1 + count(n["children"]) for n in nodes)
-
-        assert count(forest) == len(tracer.finished())
-        roots = [n["name"] for n in forest]
-        assert "query_batch" in roots
-
-    def test_forked_and_serial_traces_agree_on_root(self, small_db,
-                                                    small_workload):
-        serial = Tracer()
-        with use_tracer(serial):
-            small_db.query_batch(small_workload.queries[:4], k=3, method="index")
-        forked = Tracer()
-        with use_tracer(forked):
-            small_db.query_batch(
-                small_workload.queries[:4], k=3, method="index", workers=2
-            )
-        assert serial.stage_counts()["query_batch"] == 1
-        assert forked.stage_counts()["query_batch"] == 1
-
-
 class TestInspection:
     def test_stage_seconds_sums_and_sorts(self):
         tracer = Tracer()

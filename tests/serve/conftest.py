@@ -46,12 +46,6 @@ def queries(workload):
     return [np.asarray(q) for q in workload.queries]
 
 
-def ticking_clock(step: float):
-    """A fake monotonic clock advancing ``step`` seconds per call."""
-    ticks = iter(np.arange(0.0, 10_000.0, step))
-    return lambda: float(next(ticks))
-
-
 def make_multiseg_db() -> tuple[STS3Database, np.ndarray]:
     """A three-segment database + query, for deadline-ladder scenarios.
 

@@ -151,6 +151,15 @@ class TestBinaryProtocol:
                 client._call({"op": "query", "k": 3})
         assert excinfo.value.code == "BAD_REQUEST"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_bad_request(self, server, queries, k):
+        with ServeClient("127.0.0.1", server.port) as client:
+            with pytest.raises(ServeError) as excinfo:
+                client.query(queries[0], k=k)
+            assert excinfo.value.code == "BAD_REQUEST"
+            # null means "the default", on the same connection
+            assert len(client.query(queries[0], k=None).neighbors) == 1
+
     def test_garbage_frame_gets_error_then_close(self, server):
         with socket.create_connection(("127.0.0.1", server.port), timeout=10) as raw:
             # A framed payload that is not valid JSON.
@@ -246,6 +255,17 @@ class TestHttpAdapter:
         conn.close()
         assert response.status == 400
         assert payload["code"] == "BAD_REQUEST"
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_400(self, server, queries, k):
+        body = {"series": [float(x) for x in queries[0]], "k": k}
+        response, raw = http_request(server, "POST", "/v1/query", body)
+        assert response.status == 400
+        assert json.loads(raw)["code"] == "BAD_REQUEST"
+        response, raw = http_request(
+            server, "POST", "/v1/batch", {"queries": [body["series"]], "k": k}
+        )
+        assert response.status == 400
 
     def test_missing_series_is_400(self, server):
         response, raw = http_request(server, "POST", "/v1/query", {"k": 3})

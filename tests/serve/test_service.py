@@ -16,7 +16,7 @@ from repro.core import STS3Database
 from repro.obs import get_registry
 from repro.serve import QueryService, ServeError, ServiceConfig
 
-from .conftest import ticking_clock
+from ..conftest import ticking_clock
 
 
 def run(coro):
