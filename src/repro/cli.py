@@ -54,6 +54,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
+from .core.planner import METHODS
 
 __all__ = ["main", "build_parser"]
 
@@ -84,19 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time-axis cell width in samples")
     query.add_argument("--epsilon", type=float, default=0.5,
                        help="value-axis cell height")
-    query.add_argument(
-        "--method",
-        choices=["auto", "naive", "index", "pruning", "approximate", "minhash"],
-        default="auto",
-    )
+    query.add_argument("--method", choices=METHODS, default="auto")
     query.add_argument("--trace", action="store_true",
                        help="print the span trace of the query (docs/observability.md)")
     query.add_argument("--profile", action="store_true",
                        help="print a cProfile report of the query call")
     query.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
-                       help="per-query time budget: past half of it remaining "
-                            "segments downgrade to approximate, past it they "
-                            "are skipped (answer reports complete=False)")
+                       help="per-query time budget: segments that would start "
+                            "past it are skipped (answer reports "
+                            "complete=False and names them)")
 
     batch = sub.add_parser(
         "batch", help="batched k-NN queries over a UCR-format file"
@@ -110,10 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--epsilon", type=float, default=0.5,
                        help="value-axis cell height")
     batch.add_argument(
-        "--method",
-        choices=["auto", "naive", "index", "pruning", "approximate", "minhash"],
-        default="index",
-        help="index engages the vectorized batch kernel",
+        "--method", choices=METHODS, default="auto",
+        help="auto (calibrated, else index) and index engage the "
+             "vectorized batch kernel",
     )
     batch.add_argument("--limit", type=int, default=5,
                        help="print the answers of at most this many queries")

@@ -50,7 +50,7 @@ from .wal import (
     write_applied_seq,
 )
 from .pruning import PruningSearcher, zone_histogram
-from .replication import ReplicaSet, ReplicationError, replica_mirror_name
+from .replication import ReplicaSet, replica_mirror_name
 from .result import Neighbor, QueryResult, SearchStats, aggregate_stats
 from .rpc import RpcError, RpcTimeout, WorkerDied
 from .shard import HashRing, ShardError, ShardedDatabase, shard_manifest_path
@@ -100,7 +100,6 @@ __all__ = [
     "FrameError",
     "ReplayReport",
     "ReplicaSet",
-    "ReplicationError",
     "RpcError",
     "RpcTimeout",
     "STS3Database",

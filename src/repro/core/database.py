@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import threading
+import time
 from dataclasses import replace as _dc_replace
 
 import numpy as np
@@ -42,7 +43,7 @@ from .catalog import SegmentCatalog
 from .grid import Bound, Grid
 from .indexed import IndexedSearcher
 from .naive import NaiveSearcher
-from .planner import QueryPlanner
+from .planner import METHODS, QueryPlanner
 from .pruning import PruningSearcher
 from .result import QueryResult
 from .segment import count_transforms
@@ -53,7 +54,6 @@ __all__ = ["STS3Database", "UpdateBuffer"]
 
 logger = logging.getLogger(__name__)
 
-_METHODS = ("naive", "index", "pruning", "approximate", "minhash", "auto")
 
 class UpdateBuffer:
     """Holding area for out-of-bound inserted series (Section 5.3.2).
@@ -527,18 +527,22 @@ class STS3Database:
         Runs the naive, index, and pruning searchers over the sample
         and pins ``method="auto"`` to the measured fastest (the
         approximate variant is excluded — auto-dispatch must never
-        silently trade exactness).  Returns the per-variant seconds for
-        inspection; call again with new samples to re-calibrate.
+        silently trade exactness).  Each variant answers one untimed
+        warm-up query first, so what is compared is steady-state search
+        and not who builds its structures fastest, and the timed loop
+        drives the planner directly, past the result cache.  Returns
+        the per-variant seconds for inspection; call again with new
+        samples to re-calibrate.
         """
-        import time
-
         if not sample_queries:
             raise ParameterError("calibration needs at least one sample query")
+        prepared = [self._prepare(query) for query in sample_queries]
         timings: dict[str, float] = {}
         for method in ("naive", "index", "pruning"):
+            self.planner.execute(prepared[0], k, method, buffer=self.buffer)
             start = time.perf_counter()
-            for query in sample_queries:
-                self.query(query, k=k, method=method)
+            for sample in prepared:
+                self.planner.execute(sample, k, method, buffer=self.buffer)
             timings[method] = time.perf_counter() - start
         self.planner.calibrated_method = min(timings, key=timings.get)
         return timings
@@ -570,18 +574,22 @@ class STS3Database:
         indexed after the stored segments (their positions are stable
         across the eventual flush).
 
+        ``method="auto"`` (the default) is the calibrated method while
+        :meth:`calibrate`'s measurement is current, otherwise
+        ``"index"`` — always exact.
+
         ``deadline_ms`` opts into graceful degradation (DESIGN.md §12):
-        past half the budget remaining segments downgrade exact methods
-        to approximate, past the budget they are skipped — the result
-        then reports ``complete=False`` with a ``degraded_reason``
-        instead of blowing the latency budget or raising.
+        segments that would start past the budget are skipped — the
+        result then names them and reports ``complete=False`` with a
+        ``degraded_reason`` instead of blowing the latency budget or
+        raising.  The method never changes under a deadline.
         ``deadline_start`` (a ``planner.clock`` reading) backdates the
         budget to a request's arrival time so queue wait counts too —
         the serving layer's hook (docs/serving.md); ignored without
         ``deadline_ms``.
         """
-        if method not in _METHODS:
-            raise ParameterError(f"unknown method {method!r}; one of {_METHODS}")
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
         if method == "auto":
             method = self._auto_method()
         with span("query", method=method, k=k):
@@ -673,18 +681,20 @@ class STS3Database:
     ) -> list[QueryResult]:
         """Answer many queries in one call.
 
-        With ``method="index"`` the whole batch runs through the
-        planner's vectorized per-segment execution — one CSR pass over
-        each index-planned segment's inverted index instead of a
-        Python-level loop — which returns results identical to
-        per-query :meth:`query` calls.  Every other method loops the
-        scalar :meth:`query`.  Buffered series are merged per query
-        either way, so results always match scalar calls exactly.
+        With ``method="index"`` — which the default ``"auto"`` means
+        unless :meth:`calibrate` pinned another variant — the whole
+        batch runs through the planner's vectorized per-segment
+        execution — one CSR pass over each index-planned segment's
+        inverted index instead of a Python-level loop — which returns
+        results identical to per-query :meth:`query` calls.  Every
+        other method loops the scalar :meth:`query`.  Buffered series
+        are merged per query either way, so results always match scalar
+        calls exactly.
 
         ``deadline_ms`` is a *per-query* budget (see :meth:`query`); it
         routes the batch through the scalar loop too, since the
-        vectorized kernel commits to a whole segment at once and cannot
-        downgrade mid-pass.  ``deadline_start`` backdates every budget
+        vectorized kernel commits to every segment at once and cannot
+        skip one mid-pass.  ``deadline_start`` backdates every budget
         to one shared arrival stamp (the serving layer's batch hook).
 
         The batch runs in this process.  To spread it over cores, set
@@ -693,8 +703,8 @@ class STS3Database:
         :class:`~repro.core.shard.ShardedDatabase` (one persistent
         process per shard, DESIGN.md §16).
         """
-        if method not in _METHODS:
-            raise ParameterError(f"unknown method {method!r}; one of {_METHODS}")
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
         if method == "auto":
             method = self._auto_method()
         get_registry().counter(

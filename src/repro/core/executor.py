@@ -31,7 +31,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["ExecutorPool", "available_cpu_count", "get_pool", "resolve_workers"]
+__all__ = [
+    "ExecutorPool",
+    "available_cpu_count",
+    "get_pool",
+    "map_ordered",
+    "resolve_workers",
+]
 
 MAX_WORKERS_ENV = "STS3_MAX_WORKERS"
 
@@ -147,6 +153,17 @@ def get_pool(max_workers: int) -> ExecutorPool:
         if pool is None:
             pool = _pools[max_workers] = ExecutorPool(max_workers)
         return pool
+
+
+def map_ordered(fn, items, workers: int) -> list:
+    """``fn`` over ``items`` on ``workers`` threads; results in item order.
+
+    One worker or one item runs inline on the caller's thread — the
+    serial path is the parallel path minus the pool, not a second loop.
+    """
+    if workers > 1 and len(items) > 1:
+        return get_pool(workers).map_ordered(fn, items)
+    return [fn(item) for item in items]
 
 
 def _reset_pools_after_fork() -> None:

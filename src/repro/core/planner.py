@@ -18,10 +18,12 @@ with bit-exact parity guarantees against the pre-segmented engine:
   buffer's exhaustive scan, exactly reproducing the seed's
   ``_merge_buffer`` accounting.
 
-Planning is method + segment-size aware: a calibrated method (from
-``STS3Database.calibrate``) pins ``auto``; tiny delta segments run the
-naive scan because index/pruning structures cost more than they save
-below :data:`SMALL_SEGMENT` series.
+Planning is method + segment-size aware: ``auto`` is the calibrated
+method (from ``STS3Database.calibrate``) or else ``index``; tiny delta
+segments run the naive scan because index/pruning structures cost more
+than they save below :data:`SMALL_SEGMENT` series.  A plan's method is
+never rewritten after planning: the only deadline degradation is a
+*skipped* segment, named on the result.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..obs import get_registry, span
-from .batch import QueryWorkspace
+from .batch import BatchQueryEngine, QueryWorkspace
 from .catalog import SegmentCatalog
-from .executor import get_pool, resolve_workers
+from .executor import map_ordered, resolve_workers
 from .heap import KnnHeap
 from .jaccard import jaccard
 from .result import QueryResult, SearchStats
@@ -43,27 +45,21 @@ from .segment import Segment
 from .setrep import transform_query
 
 __all__ = [
-    "DEADLINE_SOFT_FRACTION",
+    "METHODS",
     "MIN_BATCH_SHARD",
     "QueryPlanner",
     "SegmentPlan",
     "SMALL_SEGMENT",
 ]
 
+#: every ``method=`` a query accepts — the one list the database, the
+#: shard coordinator and the CLI validate against.
+METHODS = ("naive", "index", "pruning", "approximate", "minhash", "auto")
+
 #: below this many series a delta segment is scanned naively — building
 #: postings/zone tables for a handful of series costs more than the
 #: exhaustive scan they would accelerate.
 SMALL_SEGMENT = 64
-
-#: past this fraction of a query's deadline, remaining exact segment
-#: plans downgrade to approximate (the first rung of the degradation
-#: ladder — exact → approximate → skipped; DESIGN.md §12).
-DEADLINE_SOFT_FRACTION = 0.5
-
-#: methods the soft-deadline rung can downgrade (``approximate`` is
-#: already the cheap rung; tiny segments stay naive — the exhaustive
-#: scan over a handful of series is cheaper than any filter).
-_EXACTISH = ("naive", "index", "pruning", "minhash")
 
 #: parallel ``execute_batch`` never cuts a segment's query batch into
 #: shards smaller than this — below it, per-shard fixed costs (plan,
@@ -140,22 +136,16 @@ class QueryPlanner:
     # -- planning -------------------------------------------------------
 
     def resolve_auto(self) -> str:
-        """Pick the variant for ``method="auto"`` queries.
+        """The variant ``method="auto"`` runs: calibrated, else ``index``.
 
-        After calibration the measured fastest *exact* variant wins.
-        Otherwise Section 4's suitability guidance is applied over the
-        whole catalog: pruning for short series, index for long,
-        approximate for very long.
+        While ``calibrate``'s measurement is current its fastest exact
+        variant wins.  Otherwise ``index`` — the exact variant whose
+        work is bounded by postings touched and the one the batch
+        kernels vectorise (EXPERIMENTS.md records why Section 4's
+        length ladder lost).  O(1): no segment payload is read, so a
+        lazily mapped segment stays unmapped.
         """
-        if self.calibrated_method is not None:
-            return self.calibrated_method
-        lengths = [len(s) for seg in self.catalog.segments for s in seg.series]
-        median_len = int(np.median(lengths))
-        if median_len < 200:
-            return "pruning"
-        if median_len < 1000:
-            return "index"
-        return "approximate"
+        return self.calibrated_method or "index"
 
     def plan(self, method: str, snapshot=None) -> list[SegmentPlan]:
         """Per-segment plans for a resolved (non-``auto``) method.
@@ -210,15 +200,15 @@ class QueryPlanner:
     ) -> QueryResult:
         """Answer one prepared (validated/normalized) query.
 
-        ``deadline_ms`` arms the degradation ladder: past
-        :data:`DEADLINE_SOFT_FRACTION` of the budget, remaining exact
-        segment plans downgrade to approximate; past the budget,
-        remaining segments are skipped entirely (the first segment
+        ``deadline_ms`` arms the degradation ladder, exact → skipped:
+        every segment runs its planned method, and a segment that would
+        *start* past the budget is skipped instead (the first segment
         always runs, so the answer is never empty).  Quarantined
         payloads on the catalog degrade the answer unconditionally.
-        Degraded answers carry ``complete=False`` plus the reason — the
-        Lernaean-Hydra serving stance: a timely approximate answer over
-        a late exact one or an exception.
+        Degraded answers carry ``complete=False``, the reason and the
+        names of what is missing — the Lernaean-Hydra serving stance: a
+        timely partial answer over a late complete one or an exception,
+        and never a silently different method.
 
         ``deadline_start`` anchors the budget at an *earlier*
         :attr:`clock` reading: the serving layer stamps each request at
@@ -241,46 +231,40 @@ class QueryPlanner:
                     for p in self.plan(method, snapshot)
                 ]
                 self.last_plans = plans
-            reasons: set[str] = set()
             skipped: list[str] = [q.name for q in snapshot.quarantined]
-            if skipped:
-                reasons.add("quarantine")
+            reasons = {"quarantine"} if skipped else set()
             if deadline_ms is None:
                 start = 0.0
             elif deadline_start is None:
                 start = self.clock()
             else:
                 start = float(deadline_start)
+
+            def run_one(position: int) -> QueryResult | None:
+                # The budget is read when the segment *starts*, so a
+                # blown deadline cancels plans that have not begun.
+                if deadline_ms is not None:
+                    elapsed_ms = (self.clock() - start) * 1000.0
+                    if elapsed_ms >= deadline_ms and position > 0:
+                        return None
+                return self._run_segment(
+                    segments[position], plans[position].method,
+                    prepared, k, scale, max_scale,
+                )
+
+            # Outcomes come back in plan order whatever ran them, so the
+            # KnnHeap merge below is bit-identical for every worker count.
+            outcomes = map_ordered(
+                run_one, range(len(segments)), resolve_workers(self.max_workers)
+            )
             results: list[QueryResult] = []
             executed_plans: list[SegmentPlan] = []
-            workers = resolve_workers(self.max_workers)
-            if workers > 1 and len(segments) > 1:
-                self._execute_parallel(
-                    segments, plans, prepared, k, scale, max_scale,
-                    deadline_ms, start, workers,
-                    results, executed_plans, reasons, skipped,
-                )
-            else:
-                for position, (segment, plan) in enumerate(zip(segments, plans)):
-                    if deadline_ms is not None:
-                        elapsed_ms = (self.clock() - start) * 1000.0
-                        if elapsed_ms >= deadline_ms and results:
-                            reasons.add("deadline")
-                            skipped.append(f"segment-{segment.segment_id}")
-                            continue
-                        if (
-                            elapsed_ms >= deadline_ms * DEADLINE_SOFT_FRACTION
-                            and plan.method in _EXACTISH
-                            and len(segment) >= SMALL_SEGMENT
-                        ):
-                            reasons.add("deadline")
-                            plan = replace(plan, method="approximate")
-                            plans[position] = plan
-                    results.append(
-                        self._run_segment(
-                            segment, plan.method, prepared, k, scale, max_scale
-                        )
-                    )
+            for segment, plan, result in zip(segments, plans, outcomes):
+                if result is None:
+                    reasons.add("deadline")
+                    skipped.append(f"segment-{segment.segment_id}")
+                else:
+                    results.append(result)
                     executed_plans.append(plan)
             if not reasons and len(results) == 1 and not (
                 buffer is not None and len(buffer)
@@ -292,63 +276,6 @@ class QueryPlanner:
             if reasons:
                 self._mark_degraded(merged, skipped, reasons)
             return merged
-
-    def _execute_parallel(
-        self,
-        segments: list[Segment],
-        plans: list[SegmentPlan],
-        prepared: np.ndarray,
-        k: int,
-        scale: int,
-        max_scale: int,
-        deadline_ms: float | None,
-        start: float,
-        workers: int,
-        results: list[QueryResult],
-        executed_plans: list[SegmentPlan],
-        reasons: set[str],
-        skipped: list[str],
-    ) -> None:
-        """Run independent segment plans on the shared thread pool.
-
-        The deadline ladder keeps its sequential semantics: each task
-        checks the budget *when it starts*, so a blown hard deadline
-        cancels plans that have not yet begun (segment 0 is exempt —
-        the answer is never empty, exactly as in the serial loop).
-        Outcomes are folded back in plan order, so the downstream
-        KnnHeap merge sees the same sequence as a serial run and the
-        answer is bit-identical.
-        """
-
-        def run_one(position: int):
-            segment, plan = segments[position], plans[position]
-            deadline_hit = False
-            if deadline_ms is not None:
-                elapsed_ms = (self.clock() - start) * 1000.0
-                if elapsed_ms >= deadline_ms and position > 0:
-                    return position, None, plan, True
-                if (
-                    elapsed_ms >= deadline_ms * DEADLINE_SOFT_FRACTION
-                    and plan.method in _EXACTISH
-                    and len(segment) >= SMALL_SEGMENT
-                ):
-                    deadline_hit = True
-                    plan = replace(plan, method="approximate")
-            result = self._run_segment(
-                segment, plan.method, prepared, k, scale, max_scale
-            )
-            return position, result, plan, deadline_hit
-
-        outcomes = get_pool(workers).map_ordered(run_one, range(len(segments)))
-        for position, result, plan, deadline_hit in outcomes:
-            if deadline_hit:
-                reasons.add("deadline")
-                plans[position] = plan
-            if result is None:
-                skipped.append(f"segment-{segments[position].segment_id}")
-                continue
-            results.append(result)
-            executed_plans.append(plan)
 
     def _mark_degraded(
         self, result: QueryResult, skipped: list[str], reasons: set[str]
@@ -373,50 +300,70 @@ class QueryPlanner:
     ) -> list[QueryResult]:
         """Answer many prepared queries, vectorizing index-planned segments.
 
-        Segments planned as ``index`` run the whole batch through their
-        :class:`~repro.core.batch.BatchQueryEngine` (sharing
-        ``workspace``); other segments fall back to a scalar loop.
-        Results are merged per query and match scalar :meth:`execute`
-        calls exactly.
+        Segments planned as ``index`` run the batch through their
+        :class:`~repro.core.batch.BatchQueryEngine`, cut into contiguous
+        shards of at least :data:`MIN_BATCH_SHARD` queries when there
+        is more than one worker; other segments are one task each that
+        loops the scalar searcher.  Shard results are reassembled in
+        query order and merged per query, so the output matches scalar
+        :meth:`execute` calls exactly — every kernel produces the same
+        similarities bit for bit, whatever the batch is cut into.
         """
         scale = self.default_scale if scale is None else int(scale)
         max_scale = self.default_max_scale if max_scale is None else int(max_scale)
+        n_queries = len(prepared_queries)
+        workers = resolve_workers(self.max_workers)
         with self.catalog.pinned() as snapshot:
             segments = snapshot.segments
             with span("plan", method=method, segments=len(segments),
-                      queries=len(prepared_queries)):
+                      queries=n_queries):
                 plans = self.plan(method, snapshot)
-            workers = resolve_workers(self.max_workers)
-            if workers > 1 and len(prepared_queries) > 1:
-                per_segment = self._batch_segments_parallel(
-                    segments, plans, prepared_queries, k, scale, max_scale,
-                    workspace, workers,
+            # (position, engine or None for the scalar loop, lo, hi)
+            tasks: list[tuple[int, BatchQueryEngine | None, int, int]] = []
+            for position, (segment, plan) in enumerate(zip(segments, plans)):
+                engine, n_shards = None, 1
+                if plan.method == "index":
+                    # Build (and cache) the segment engine before fan-out
+                    # so pool threads never race the segment's lazy caches.
+                    segment.mark_used()
+                    engine = segment.batch_engine(workspace)
+                    n_shards = max(1, min(workers, n_queries // MIN_BATCH_SHARD))
+                tasks.extend(
+                    (position, engine,
+                     n_queries * shard // n_shards,
+                     n_queries * (shard + 1) // n_shards)
+                    for shard in range(n_shards)
                 )
-            else:
-                per_segment = []
-                for position, (segment, plan) in enumerate(zip(segments, plans)):
-                    if plan.method == "index":
-                        with span("transform", queries=len(prepared_queries),
-                                  segment=segment.segment_id):
-                            query_sets = [
-                                transform_query(p, segment.grid)
-                                for p in prepared_queries
-                            ]
-                        segment.mark_used()
-                        engine = segment.batch_engine(workspace)
-                        per_segment.append(engine.query_batch(query_sets, k=k))
-                        # The engine picks one kernel per batch; record it on
-                        # the plan for diagnostics (``sts3 inspect``, tests).
-                        kernel = engine.last_kernels[-1] if engine.last_kernels else None
-                        plans[position] = replace(plan, kernel=kernel)
-                    else:
-                        per_segment.append([
-                            self._run_segment(
-                                segment, plan.method, p, k, scale, max_scale
-                            )
-                            for p in prepared_queries
-                        ])
-                        plans[position] = replace(plan, kernel="scalar")
+
+            def run_task(task) -> tuple[list[QueryResult], str | None]:
+                position, engine, lo, hi = task
+                segment, queries = segments[position], prepared_queries[lo:hi]
+                if engine is None:
+                    method = plans[position].method
+                    return [
+                        self._run_segment(segment, method, p, k, scale, max_scale)
+                        for p in queries
+                    ], "scalar"
+                if workers > 1:
+                    # Workspaces are not thread-safe: each executor
+                    # thread runs a clone over its own private one.
+                    engine = engine.with_workspace(self._shard_workspace())
+                with span("transform", queries=len(queries),
+                          segment=segment.segment_id):
+                    query_sets = [transform_query(p, segment.grid) for p in queries]
+                results = engine.query_batch(query_sets, k=k)
+                # The engine picks one kernel per batch; it is recorded on
+                # the plan for diagnostics (``sts3 inspect``, tests).
+                kernels = engine.last_kernels
+                return results, (kernels[-1] if kernels else None)
+
+            per_segment: list[list[QueryResult]] = [[] for _ in segments]
+            for (position, _, lo, _), (results, kernel) in zip(
+                tasks, map_ordered(run_task, tasks, workers)
+            ):
+                per_segment[position].extend(results)
+                if lo == 0:  # the first shard's kernel is the diagnostic
+                    plans[position] = replace(plans[position], kernel=kernel)
             self.last_plans = plans
             quarantined = [q.name for q in snapshot.quarantined]
             if not quarantined and len(segments) == 1 and not (
@@ -440,73 +387,6 @@ class QueryPlanner:
         if workspace is None:
             workspace = self._worker_local.workspace = QueryWorkspace()
         return workspace
-
-    def _batch_segments_parallel(
-        self,
-        segments: list[Segment],
-        plans: list[SegmentPlan],
-        prepared_queries: list[np.ndarray],
-        k: int,
-        scale: int,
-        max_scale: int,
-        workspace: QueryWorkspace | None,
-        workers: int,
-    ) -> list[list[QueryResult]]:
-        """Tile the batch across the thread pool, one flat task list.
-
-        Index-planned segments split their queries into contiguous
-        shards of at least :data:`MIN_BATCH_SHARD` (each shard runs
-        through a workspace-bound engine clone over this thread's
-        private workspace); scalar-planned segments are one task each.
-        Shard results are reassembled in query order, so the output is
-        bit-identical to the serial loop — every kernel produces the
-        same similarities bit for bit, whatever the batch is cut into.
-        """
-        n_queries = len(prepared_queries)
-        tasks: list[tuple[int, int, int, int]] = []
-        for position, (segment, plan) in enumerate(zip(segments, plans)):
-            if plan.method == "index":
-                # Build (and cache) the segment engine before fan-out so
-                # worker threads never race the segment's lazy caches.
-                segment.mark_used()
-                segment.batch_engine(workspace)
-                n_shards = max(1, min(workers, n_queries // MIN_BATCH_SHARD))
-                for shard in range(n_shards):
-                    lo = n_queries * shard // n_shards
-                    hi = n_queries * (shard + 1) // n_shards
-                    tasks.append((position, shard, lo, hi))
-            else:
-                tasks.append((position, 0, 0, n_queries))
-
-        def run_task(task: tuple[int, int, int, int]):
-            position, shard, lo, hi = task
-            segment, plan = segments[position], plans[position]
-            if plan.method == "index":
-                engine = segment.batch_engine(workspace).with_workspace(
-                    self._shard_workspace()
-                )
-                with span("transform", queries=hi - lo,
-                          segment=segment.segment_id):
-                    query_sets = [
-                        transform_query(p, segment.grid)
-                        for p in prepared_queries[lo:hi]
-                    ]
-                shard_results = engine.query_batch(query_sets, k=k)
-                kernel = engine.last_kernels[-1] if engine.last_kernels else None
-                return position, shard, shard_results, kernel
-            shard_results = [
-                self._run_segment(segment, plan.method, p, k, scale, max_scale)
-                for p in prepared_queries[lo:hi]
-            ]
-            return position, shard, shard_results, "scalar"
-
-        outcomes = get_pool(workers).map_ordered(run_task, tasks)
-        per_segment: list[list[QueryResult]] = [[] for _ in segments]
-        for position, shard, shard_results, kernel in outcomes:
-            per_segment[position].extend(shard_results)
-            if shard == 0:  # first shard's kernel is the diagnostic
-                plans[position] = replace(plans[position], kernel=kernel)
-        return per_segment
 
     def _run_segment(
         self,

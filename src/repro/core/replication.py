@@ -57,7 +57,6 @@ from pathlib import Path
 import numpy as np
 
 from .. import faults
-from ..exceptions import ReproError
 from ..obs import get_registry, span
 from ..serve.protocol import OP_PROMOTE, OP_SHIP
 from .rpc import RpcError
@@ -67,15 +66,10 @@ from .worker import WorkerError, reap_worker
 __all__ = [
     "ReplicaHandle",
     "ReplicaSet",
-    "ReplicationError",
     "replica_mirror_name",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class ReplicationError(ReproError):
-    """A replication operation failed (shipping, apply, or promotion)."""
 
 
 def replica_mirror_name(shard_id: int, replica_id: int) -> str:

@@ -38,9 +38,8 @@ path already answers by reaping the worker.
 
 Primaries and followers (docs/replication.md) speak the same frames
 over the same pipes: besides the shard ops, a ``ship`` carries a
-contiguous run of raw WAL frames as a uint8 blob, ``subscribe`` probes
-a follower's apply watermark, and ``promote`` flips it into a primary —
-see ``OP_SHIP``/``OP_SUBSCRIBE``/``OP_PROMOTE`` in
+contiguous run of raw WAL frames as a uint8 blob and ``promote`` flips
+the follower into a primary — see ``OP_SHIP``/``OP_PROMOTE`` in
 :mod:`repro.serve.protocol`.
 """
 

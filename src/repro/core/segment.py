@@ -464,11 +464,6 @@ class Segment:
 
     # -- diagnostics ----------------------------------------------------
 
-    @property
-    def median_length(self) -> int:
-        """Median series length (drives the planner's auto heuristic)."""
-        return int(np.median([len(s) for s in self.series]))
-
     def stats(self) -> dict:
         """Per-segment statistics for catalogs, the CLI, and dashboards."""
         state = self.resident_state  # captured before series materializes
@@ -483,7 +478,7 @@ class Segment:
             "n_columns": self.grid.n_columns,
             "n_rows": self.grid.n_rows,
             "min_length": min(lengths),
-            "median_length": self.median_length,
+            "median_length": int(np.median(lengths)),
             "max_length": max(lengths),
             "searchers": sorted(
                 (["naive"] if self._naive is not None else [])

@@ -65,6 +65,7 @@ from ..serve.protocol import pack_message
 from ..types import as_series
 from .grid import Bound
 from .heap import KnnHeap
+from .planner import METHODS
 from .result import QueryResult, SearchStats
 from .rpc import RpcError, WorkerDied, call, call_packed, recv_reply, send_packed
 from .segment import grid_for_bound
@@ -78,8 +79,6 @@ __all__ = [
     "ShardedDatabase",
     "shard_manifest_path",
 ]
-
-_METHODS = ("naive", "index", "pruning", "approximate", "minhash", "auto")
 
 MANIFEST_NAME = "shard-manifest.json"
 MANIFEST_FORMAT = "sts3-sharded"
@@ -780,8 +779,8 @@ class ShardedDatabase:
         contract; any endpoint failure falls the whole shard back to
         its primary.
         """
-        if method not in _METHODS:
-            raise ParameterError(f"unknown method {method!r}; one of {_METHODS}")
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         if not queries:

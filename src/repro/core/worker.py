@@ -13,9 +13,9 @@ runs :func:`worker_main`, and is started, awaited and reaped through
    checkpointed archive extras plus the replayed ``note`` records;
 3. **ready** — one frame tells the supervisor how the bootstrap went;
 4. **serve** — one request at a time until ``shutdown`` or EOF.
-   ``subscribe`` and ``ship`` exist only while follower; ``promote`` is
-   a state transition (attach a journaling WAL over the mirror, take
-   the new fencing epoch) after which the loop *is* a primary's.
+   ``ship`` exists only while follower; ``promote`` is a state
+   transition (attach a journaling WAL over the mirror, take the new
+   fencing epoch) after which the loop *is* a primary's.
 
 A request is answered in one place whatever the role: a handler's
 exception becomes an ``op: "error"`` frame, every reply echoes the
@@ -36,7 +36,7 @@ from pathlib import Path
 from .. import faults
 from ..exceptions import ReproError
 from ..obs import span
-from ..serve.protocol import OP_PROMOTE, OP_SHIP, OP_SUBSCRIBE, result_to_wire
+from ..serve.protocol import OP_PROMOTE, OP_SHIP, result_to_wire
 from .persistence import apply_wal_records, load_database, recover_database
 from .result import Neighbor
 from .rpc import RpcError, WorkerDied, recv_frame, send_frame
@@ -280,8 +280,6 @@ class _Worker:
             )
             return {"op": "ack", **self.status()}
         if self.follower:
-            if op == OP_SUBSCRIBE:
-                return {"op": "ack", **self.status()}
             if op == OP_SHIP:
                 faults.fault_point("replication.apply")
                 return self._ship(header, arrays)

@@ -43,7 +43,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "OP_PROMOTE",
     "OP_SHIP",
-    "OP_SUBSCRIBE",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "ServeError",
@@ -70,14 +69,12 @@ PROTOCOL_VERSION = 1
 MAX_FRAME_BYTES = 64 << 20
 
 #: replication stream ops (docs/replication.md), spoken over the same
-#: frame format on the shard pipes.  ``subscribe`` opens (or probes) a
-#: follower's stream and returns its apply watermark; ``ship`` carries
-#: a contiguous run of raw WAL frames as a uint8 blob plus
+#: frame format on the shard pipes.  ``ship`` carries a contiguous run
+#: of raw WAL frames as a uint8 blob plus
 #: ``first_seq``/``last_seq``/``count`` in the header; ``promote``
 #: carries the new fencing ``epoch`` and flips the follower into a
 #: journaling primary.  Every replication reply echoes the sender's
 #: current epoch, which is what makes zombie-primary fencing work.
-OP_SUBSCRIBE = "subscribe"
 OP_SHIP = "ship"
 OP_PROMOTE = "promote"
 

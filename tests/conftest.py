@@ -32,6 +32,11 @@ def ticking_clock(step: float):
     return lambda: next(ticks) * step
 
 
+def answer_hex(result) -> list[tuple[int, str]]:
+    """A result's neighbours as ``(index, similarity.hex())`` — bit-exact."""
+    return [(n.index, float(n.similarity).hex()) for n in result.neighbors]
+
+
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

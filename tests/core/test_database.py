@@ -64,7 +64,7 @@ class TestQueryMethods:
 
     def test_auto_dispatch_short_series(self):
         db, _, _ = _make_db(n=10, length=64)
-        assert db._auto_method() == "pruning"
+        assert db._auto_method() == "index"
 
     def test_auto_dispatch_medium_series(self):
         db, _, _ = _make_db(n=10, length=500)
@@ -72,7 +72,7 @@ class TestQueryMethods:
 
     def test_auto_dispatch_long_series(self):
         db, _, _ = _make_db(n=6, length=1200)
-        assert db._auto_method() == "approximate"
+        assert db._auto_method() == "index"  # never silently approximate
 
     def test_query_with_out_of_bound_values(self):
         """A query spike outside the database value range must not crash

@@ -102,6 +102,12 @@ class TestLaziness:
         for segment in mapped.catalog.segments:
             assert segment.is_lazy  # __len__ must not materialize
 
+    def test_resolving_auto_maps_nothing(self, archive):
+        path, _, _ = archive
+        mapped = load_database(path, mmap=True)
+        assert mapped.planner.resolve_auto() == "index"
+        assert all(s.is_lazy for s in mapped.catalog.segments)
+
     def test_memory_stats_report_mapped_bytes(self, archive):
         path, _, rng = archive
         mapped = load_database(path, mmap=True)

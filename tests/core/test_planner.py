@@ -11,6 +11,9 @@ import pytest
 
 from repro import STS3Database
 from repro.core.planner import SMALL_SEGMENT, QueryPlanner, SegmentPlan
+from repro.data.workloads import ecg_workload
+
+from ..conftest import answer_hex
 
 
 def _spiked(rng, length, spike):
@@ -80,7 +83,33 @@ class TestPlanning:
     def test_resolve_auto_spans_all_segments(self, segmented_db):
         db, _ = segmented_db
         planner = QueryPlanner(db.catalog)
-        assert planner.resolve_auto() == "pruning"  # short series everywhere
+        # one answer for the whole catalog, whatever the series lengths
+        assert planner.resolve_auto() == "index"
+        planner.calibrated_method = "naive"
+        assert planner.resolve_auto() == "naive"
+
+
+class TestDefaultMethod:
+    """``auto`` is exact at every length and engages the batch kernel."""
+
+    @pytest.mark.parametrize("length", [128, 512, 2048])
+    def test_default_answers_match_naive(self, length):
+        workload = ecg_workload(80, 4, length, seed=3)
+        db = STS3Database(workload.database, sigma=3, epsilon=0.58)
+        naive = [
+            answer_hex(db.query(q, k=10, method="naive"))
+            for q in workload.queries
+        ]
+        assert [answer_hex(db.query(q, k=10)) for q in workload.queries] == naive
+        batch = db.query_batch(workload.queries, k=10)
+        assert [answer_hex(r) for r in batch] == naive
+
+    def test_default_batch_runs_a_batch_kernel(self):
+        workload = ecg_workload(80, 4, 128, seed=3)
+        db = STS3Database(workload.database, sigma=3, epsilon=0.58)
+        db.query_batch(workload.queries, k=5)
+        kernels = [plan.kernel for plan in db.planner.last_plans]
+        assert kernels and "scalar" not in kernels and None not in kernels
 
 
 class TestMergeDeterminism:

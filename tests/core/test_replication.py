@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro import STS3Database
-from repro.core.replication import ReplicationError, replica_mirror_name
+from repro.core.replication import replica_mirror_name
 from repro.core.shard import ShardedDatabase, ShardError
 from repro.core.wal import read_applied_seq, scan_wal
 from repro.exceptions import FollowerWriteError, ParameterError

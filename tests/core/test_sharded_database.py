@@ -22,6 +22,7 @@ import pytest
 from repro import STS3Database
 from repro.core import worker
 from repro.core.shard import HashRing, ShardedDatabase, ShardError
+from repro.data.workloads import ecg_workload
 from repro.exceptions import ParameterError, ReproError
 
 LENGTH = 32
@@ -63,6 +64,24 @@ class TestParity:
             assert hex_answers(got) == hex_answers(expected)
             assert all(r.complete for r in got)
             assert all(r.skipped_shards == [] for r in got)
+        finally:
+            single.close()
+            sharded.close()
+
+    @pytest.mark.parametrize("length", [128, 512, 2048])
+    def test_default_method_is_exact_at_every_length(self, tmp_path, length):
+        workload = ecg_workload(80, 4, length, seed=3)
+        series, queries = workload.database, workload.queries
+        single = STS3Database(series, sigma=3, epsilon=0.58)
+        sharded = ShardedDatabase.build(
+            series, 2, tmp_path / "shards", sigma=3, epsilon=0.58
+        )
+        try:
+            expected = hex_answers(single.query_batch(queries, k=10))
+            assert hex_answers(sharded.query_batch(queries, k=10)) == expected
+            assert expected == hex_answers(
+                single.query_batch(queries, k=10, method="naive")
+            )
         finally:
             single.close()
             sharded.close()

@@ -17,6 +17,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core import STS3Database
+from repro.data.workloads import ecg_workload
 from repro.obs import get_registry
 from repro.serve import (
     PROTOCOL_VERSION,
@@ -25,6 +27,8 @@ from repro.serve import (
     ServerThread,
     ServiceConfig,
 )
+
+from ..conftest import answer_hex
 
 
 @pytest.fixture
@@ -92,6 +96,42 @@ class TestBinaryProtocol:
             "sts3_server_window_queries"
         ).series_snapshot()
         assert snapshot["sum"] == len(queries)
+
+    @pytest.mark.parametrize("length", [128, 512, 2048])
+    def test_default_method_clients_reach_the_batch_engine(self, length):
+        # No client names a method: the coalesced window must run the
+        # vectorized kernel and still answer exactly (the naive scan).
+        n_clients = 8
+        workload = ecg_workload(80, n_clients, length, seed=3)
+        db = STS3Database(workload.database, sigma=3, epsilon=0.58)
+        naive = [db.query(q, k=10, method="naive") for q in workload.queries]
+        served = [None] * n_clients
+        errors = []
+
+        def worker(i):
+            try:
+                with ServeClient("127.0.0.1", server.port) as client:
+                    served[i] = client.query(workload.queries[i], k=10)
+            except Exception as exc:  # noqa: BLE001 — surfaced below
+                errors.append(exc)
+
+        # The window closes on its n_clients-th query, never on the timer.
+        config = ServiceConfig(coalesce_window_ms=30_000.0, max_coalesce=n_clients)
+        with ServerThread(db, config) as server:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(n_clients)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        assert not errors
+        assert [answer_hex(s) for s in served] == [answer_hex(d) for d in naive]
+        engine = get_registry().histogram(
+            "sts3_batch_engine_queries"
+        ).series_snapshot()
+        assert engine["sum"] == n_clients
 
     def test_batch_op(self, db, server, queries):
         direct = db.query_batch(list(queries[:5]), k=3, method="index")

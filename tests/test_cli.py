@@ -58,6 +58,18 @@ class TestCommands:
         assert "Jaccard" in out
         assert out.count("#") >= 3
 
+    def test_query_default_method_prints_the_exact_neighbours(
+        self, ucr_file, capsys
+    ):
+        base = ["query", str(ucr_file), "--k", "4", "--sigma", "2"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        assert main(base + ["--method", "naive"]) == 0
+        naive = capsys.readouterr().out
+        rows = [line for line in default.splitlines() if "#" in line]
+        assert len(rows) >= 4
+        assert rows == [line for line in naive.splitlines() if "#" in line]
+
     def test_query_bad_index(self, ucr_file, capsys):
         assert main(["query", str(ucr_file), "--query-index", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
@@ -117,6 +129,27 @@ class TestCommands:
         assert 0 < report["stage_coverage"] <= 1.1
         counters = report["metrics"]["counters"]
         assert counters['sts3_batch_queries_total{method="index"}'] >= 4.0
+
+    def test_batch_default_method_runs_the_batch_engine(
+        self, ucr_file, tmp_path, capsys
+    ):
+        import json
+
+        from repro.obs import get_registry
+
+        def kernels_selected(counters):
+            return sum(
+                value for key, value in counters.items()
+                if key.startswith("sts3_kernel_selected_total")
+            )
+
+        before = kernels_selected(get_registry().snapshot()["counters"])
+        out_path = tmp_path / "metrics.json"
+        assert main(["batch", str(ucr_file), "--queries", "4", "--k", "2",
+                     "--sigma", "2", "--metrics-json", str(out_path)]) == 0
+        report = json.loads(out_path.read_text())
+        assert report["method"] == "auto"
+        assert kernels_selected(report["metrics"]["counters"]) > before
 
     def test_batch_metrics_json_stdout(self, ucr_file, capsys):
         import json
