@@ -42,7 +42,12 @@ once per batch instead of once per query:
      bitset's bytes per cell column.
 
    The engine picks per batch from a unit-cost model over the exact
-   pair/vocabulary counts (``kernel="auto"``; force any for ablation).
+   pair/vocabulary counts *and the batch width* (``kernel="auto"``;
+   force any for ablation): a GEMM of a few rows is bound by streaming
+   the one-hot matrix, not by flops, so below ``_DENSE_ROW_FLOOR`` rows
+   its cost stops falling with width and the popcount sweep — linear
+   in rows over a 64x smaller matrix — wins; a batch of one is never
+   handed to BLAS at all.
 4. **O(n) top-k per query** — :func:`repro.core.selection.top_k_indices`
    replaces the historical full lexsort, preserving the deterministic
    tie-break (similarity descending, index ascending).
@@ -88,13 +93,25 @@ _SPARSE_PAIR_COST = 256
 #: Estimated cost of one uint64 word in the bitset sweep (AND + popcount
 #: + horizontal add) relative to one GEMM multiply-add.  A word covers
 #: 64 vocabulary columns, so a value above 64 means a feasible GEMM
-#: always outranks the bitset sweep on the same shape — which matches
-#: measurement on the reference container (~14 ns/word vs ~0.09 ns/flop
-#: through BLAS).  The bitset kernel's niche is the regime the
-#: ``dense_limit`` gate carves out: its matrix is 64x smaller than the
-#: one-hot, so it stays feasible (and beats the sparse gather) long
-#: after the GEMM workspace is priced out.
+#: outranks the bitset sweep on the same shape once the batch is at
+#: least ``_DENSE_ROW_FLOOR`` rows wide — which matches measurement on
+#: the reference container (~14 ns/word vs ~0.09 ns/flop through BLAS).
+#: The bitset kernel's niches are thin batches (below the row floor)
+#: and the regime the ``dense_limit`` gate carves out: its matrix is
+#: 64x smaller than the one-hot, so it stays feasible (and beats the
+#: sparse gather) long after the GEMM workspace is priced out.
 _BITSET_WORD_COST = 160
+
+#: Rows below which a GEMM's time stops falling with the batch width:
+#: the product is then bound by streaming the ``distinct x n_series``
+#: one-hot matrix once, not by flops, so 2 rows cost what 16 do (at 10k
+#: ECG series 2.5-3.5 ms flat for 2-16 rows, against 0.15 ms/row at
+#: width 64: 17-22 rows' worth at 4k, 10k and 20k series alike).  With
+#: ``_BITSET_WORD_COST`` it puts the bitset/dense crossover at
+#: ``64/160 x floor`` = 6.4 rows; the width sweep
+#: (``benchmarks/bench_batch_width.py``, EXPERIMENTS.md "Batch width x
+#: kernel") measures the two level at 6 rows and dense ahead from 8.
+_DENSE_ROW_FLOOR = 16
 
 
 class QueryWorkspace:
@@ -134,18 +151,17 @@ class QueryWorkspace:
 class _KernelArtifacts:
     """Lazily-built index-side artifacts shared by engine clones.
 
-    The distinct-cell array, one-hot matrix, and packed bitset depend
-    only on the (immutable) searcher, never on the workspace, so
-    workspace-bound clones (:meth:`BatchQueryEngine.with_workspace`)
+    The one-hot matrix and packed bitset depend only on the
+    (immutable) searcher, never on the workspace, so workspace-bound
+    clones (:meth:`BatchQueryEngine.with_workspace`)
     share one instance and parallel shards build each artifact exactly
     once, under the lock.
     """
 
-    __slots__ = ("lock", "distinct", "onehot", "bitset")
+    __slots__ = ("lock", "onehot", "bitset")
 
     def __init__(self, bitset=None):
         self.lock = threading.Lock()
-        self.distinct: np.ndarray | None = None
         self.onehot: np.ndarray | None = None
         #: a BitsetStore, a zero-arg supplier for one, or None.
         self.bitset = bitset
@@ -212,7 +228,7 @@ class BatchQueryEngine:
         self.dense_limit = int(dense_limit)
         self._lengths_f64 = np.asarray(searcher.lengths, dtype=np.float64)
         self._has_empty_set = bool(np.any(searcher.lengths == 0))
-        # Index-side artifacts (distinct cells, one-hot, bitset), built
+        # Index-side artifacts (one-hot, bitset), built
         # lazily on first use and shared with workspace-bound clones.
         self._artifacts = (
             artifacts if artifacts is not None else _KernelArtifacts(bitset_store)
@@ -287,12 +303,10 @@ class BatchQueryEngine:
         # Kernel choice is per batch: the dense GEMM's economics depend
         # on the whole batch's pair count, and only the sparse kernel
         # needs its tiles bounded by gathered pairs (its scratch is
-        # pair-sized; the GEMM's is counter-sized).  The distinct-cell
-        # scan behind the choice can rival the kernels themselves on
-        # first use, so it counts as filter work too.
+        # pair-sized; the GEMM's is counter-sized).
         with span("filter", phase="plan_tiles"):
             kernel = self._choose_kernel(len(query_sets), int(pair_cum[-1]))
-            tiles = self._tiles(q_lens, pairs_per_query, n_series, kernel)
+            tiles = self._tiles(pairs_per_query, n_series, kernel)
         registry = get_registry()
         registry.counter(
             "sts3_batch_tiles_total", "batch-engine tiles run, by chosen kernel"
@@ -321,26 +335,47 @@ class BatchQueryEngine:
 
     def _tiles(
         self,
-        q_lens: np.ndarray,
         pairs_per_query: np.ndarray,
         n_series: int,
         kernel: str,
     ) -> list[tuple[int, int]]:
-        """Greedy query partition honouring the active scratch budgets."""
-        tiles: list[tuple[int, int]] = []
+        """Query partition honouring the active scratch budgets.
+
+        A greedy pass finds how many tiles the budgets need; the batch
+        is then cut into that many tiles of even width, because the
+        kernel is chosen once per batch at the batch's width and a
+        greedy cut leaves a remainder tile as narrow as one row (201
+        queries over a 200-query budget: a 200-row GEMM and a GEMV).
+        """
+        n_queries = len(pairs_per_query)
+        greedy: list[tuple[int, int]] = []
         start = 0
         pairs = 0
-        for i in range(len(q_lens)):
+        for i in range(n_queries):
             width = (i - start + 1) * n_series
             over_pairs = (
                 kernel == "sparse" and pairs + pairs_per_query[i] > self.tile_postings
             )
             if i > start and (width > self.tile_cells or over_pairs):
-                tiles.append((start, i))
+                greedy.append((start, i))
                 start, pairs = i, 0
             pairs += int(pairs_per_query[i])
-        tiles.append((start, len(q_lens)))
-        return tiles
+        greedy.append((start, n_queries))
+        n_tiles = len(greedy)
+        even = [
+            (n_queries * t // n_tiles, n_queries * (t + 1) // n_tiles)
+            for t in range(n_tiles)
+        ]
+        # No even tile is wider than the widest greedy one, so the cell
+        # budget holds; pairs are not uniform over queries, so the pair
+        # budget may not — then only the greedy cut fits it.
+        if kernel == "sparse" and any(
+            stop - start > 1
+            and pairs_per_query[start:stop].sum() > self.tile_postings
+            for start, stop in even
+        ):
+            return greedy
+        return even
 
     # -- kernels ---------------------------------------------------------
 
@@ -351,7 +386,7 @@ class BatchQueryEngine:
         if self.kernel != "auto":
             return self.kernel
         n_series = len(self.searcher.sets)
-        distinct = self._distinct()
+        distinct = self.searcher.vocabulary()
         n_words = (distinct.size + 63) // 64
         costs: dict[str, int] = {
             "sparse": total_pairs * _SPARSE_PAIR_COST,
@@ -360,22 +395,23 @@ class BatchQueryEngine:
             costs["bitset"] = (
                 n_queries * n_series * max(n_words, 1) * _BITSET_WORD_COST
             )
-        if distinct.size * n_series <= self.dense_limit:
-            costs["dense"] = n_queries * distinct.size * n_series
+        # The GEMM runs once per (even, cell-bounded) tile, so it is
+        # priced per tile and not offered a one-row tile at all: a GEMV
+        # streams the whole one-hot matrix for one row, and a threaded
+        # BLAS stretches back-to-back ones to scheduler ticks (8 ms
+        # where the sweep takes 0.9).  The packed store is 64x smaller
+        # under the same ``dense_limit``, so whenever dense is a
+        # candidate the bitset sweep is one too.
+        n_tiles = -(-n_queries // max(1, self.tile_cells // n_series))
+        if n_queries // n_tiles > 1 and distinct.size * n_series <= self.dense_limit:
+            costs["dense"] = (
+                max(n_queries, n_tiles * _DENSE_ROW_FLOOR) * distinct.size * n_series
+            )
         best = "sparse"
         for name, cost in costs.items():
             if cost < costs[best]:
                 best = name
         return best
-
-    def _distinct(self) -> np.ndarray:
-        art = self._artifacts
-        if art.distinct is None:
-            with art.lock:
-                if art.distinct is None:
-                    # _cells is sorted, so unique is a linear pass.
-                    art.distinct = np.unique(self.searcher._cells)
-        return art.distinct
 
     def _bitset_store(self) -> BitsetStore:
         """The packed database bitmap: supplied, injected, or built once."""
@@ -385,7 +421,9 @@ class BatchQueryEngine:
                 if callable(art.bitset):
                     art.bitset = art.bitset()
                 if art.bitset is None:
-                    art.bitset = BitsetStore(self.searcher.sets)
+                    art.bitset = BitsetStore(
+                        self.searcher.sets, vocab=self.searcher.vocabulary()
+                    )
         return art.bitset
 
     def _onehot_matrix(self) -> np.ndarray:
@@ -394,17 +432,11 @@ class BatchQueryEngine:
         if art.onehot is None:
             with art.lock:
                 if art.onehot is None:
-                    # inline (the lock is not reentrant, so no _distinct())
-                    distinct = (
-                        art.distinct
-                        if art.distinct is not None
-                        else np.unique(self.searcher._cells)
-                    )
+                    distinct = self.searcher.vocabulary()
                     n_series = len(self.searcher.sets)
                     onehot = np.zeros((distinct.size, n_series), dtype=np.float32)
                     rank = np.searchsorted(distinct, self.searcher._cells)
                     onehot.ravel()[rank * n_series + self.searcher._owners] = 1.0
-                    art.distinct = distinct
                     art.onehot = onehot
         return art.onehot
 
@@ -468,7 +500,7 @@ class BatchQueryEngine:
         result equals the bincount result exactly.
         """
         n_queries, n_series = counts.shape
-        distinct = self._distinct()
+        distinct = self.searcher.vocabulary()
         rank = np.searchsorted(distinct, q_cells)
         # Query cells absent from the index (e.g. Algorithm 6 out-of-
         # bound cells) match nothing; drop them from the one-hot rows.

@@ -88,6 +88,11 @@ class BitsetStore:
         numpy ufunc (``False``, raises if unavailable), or auto-detect
         (``None``, the default).  Tests use this to exercise the
         numpy < 2.0 path on any numpy.
+    vocab:
+        The sorted distinct cell IDs across ``sets``, when the caller
+        already holds them (the segment's memory gate and the batch
+        engine do, from :meth:`IndexedSearcher.vocabulary`); computed
+        here when omitted.
 
     Attributes
     ----------
@@ -100,7 +105,12 @@ class BitsetStore:
         int64 set sizes (the ``|S_i|`` Jaccard terms).
     """
 
-    def __init__(self, sets: list[np.ndarray], use_lut: bool | None = None):
+    def __init__(
+        self,
+        sets: list[np.ndarray],
+        use_lut: bool | None = None,
+        vocab: np.ndarray | None = None,
+    ):
         if use_lut is None:
             use_lut = not HAVE_BITWISE_COUNT
         elif not use_lut and not HAVE_BITWISE_COUNT:
@@ -113,7 +123,7 @@ class BitsetStore:
         all_cells = (
             np.concatenate(sets) if total else np.empty(0, dtype=np.int64)
         )
-        self.vocab = np.unique(all_cells)
+        self.vocab = np.unique(all_cells) if vocab is None else vocab
         self.n_words = (self.vocab.size + 63) // 64
         self.matrix = np.zeros((len(sets), self.n_words), dtype=np.uint64)
         if total:

@@ -43,9 +43,24 @@ class IndexedSearcher:
         #: postings sorted by cell ID; owners aligned with cells.
         self._cells = cells[order]
         self._owners = owners[order]
+        self._vocabulary: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
+
+    def vocabulary(self) -> np.ndarray:
+        """Sorted distinct cell IDs across all sets, computed once.
+
+        The postings are sorted by cell, so the distinct cells are
+        where they step: one linear pass instead of the sort an
+        ``np.unique`` over the sets would pay.  Idempotent, so it takes
+        no lock.
+        """
+        if self._vocabulary is None:
+            first = np.ones(self._cells.size, dtype=np.bool_)
+            np.not_equal(self._cells[1:], self._cells[:-1], out=first[1:])
+            self._vocabulary = self._cells[first]
+        return self._vocabulary
 
     def intersection_counts(self, query_set: np.ndarray) -> np.ndarray:
         """``|S_i ∩ Q|`` for every database series ``i`` (lines 1-5).

@@ -288,17 +288,22 @@ class Segment:
             with self._lock:
                 if not self._bitset_decided:
                     sorted_bytes = sum(s.nbytes for s in self.sets)
-                    vocab = np.unique(
-                        np.concatenate(self.sets)
-                        if sorted_bytes
-                        else np.empty(0, dtype=np.int64)
-                    )
+                    # The vocabulary is sorted at most once per segment:
+                    # a built index already holds it in postings order.
+                    if self._indexed is not None:
+                        vocab = self._indexed.vocabulary()
+                    else:
+                        vocab = np.unique(
+                            np.concatenate(self.sets)
+                            if sorted_bytes
+                            else np.empty(0, dtype=np.int64)
+                        )
                     n_words = (vocab.size + 63) // 64
                     packed_bytes = len(self.sets) * n_words * 8
                     if packed_bytes <= max(
                         _BITSET_BYTE_RATIO * sorted_bytes, 4096
                     ):
-                        self._bitset = BitsetStore(self.sets)
+                        self._bitset = BitsetStore(self.sets, vocab=vocab)
                         get_registry().gauge(
                             "sts3_bitset_bytes_resident",
                             "packed bitset bytes, by segment and residency",

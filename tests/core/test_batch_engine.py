@@ -13,6 +13,7 @@ import pytest
 from repro import STS3Database
 from repro.core.batch import BatchQueryEngine, QueryWorkspace, batch_query
 from repro.core.indexed import DictInvertedIndex, IndexedSearcher
+from repro.data.workloads import ecg_workload
 from repro.exceptions import ParameterError
 
 
@@ -102,7 +103,7 @@ class TestDatabaseBatchParity:
 
 
 class TestEngineKernels:
-    @pytest.mark.parametrize("kernel", ["sparse", "dense", "auto"])
+    @pytest.mark.parametrize("kernel", ["sparse", "dense", "bitset", "auto"])
     def test_randomized_parity_both_kernels(self, kernel):
         rng = np.random.default_rng(11)
         workspace = QueryWorkspace()
@@ -157,6 +158,47 @@ class TestEngineKernels:
         _assert_identical(scalar, engine.query_batch(queries, k=2))
         # one query per tile under these budgets
         assert len(engine.last_kernels) == len(queries)
+
+        # One query more than a tile holds: two even tiles, not a full
+        # tile and a one-row remainder (which a GEMM would run as a GEMV).
+        n_series = len(searcher.sets)
+        queries = _random_sets(rng, 201)
+        scalar = [searcher.query(q, k=2) for q in queries]
+        for kernel in ("dense", "bitset", "sparse"):
+            engine = BatchQueryEngine(
+                searcher, kernel=kernel, tile_cells=200 * n_series
+            )
+            tiles = engine._tiles(np.zeros(201, dtype=np.int64), n_series, kernel)
+            widths = [stop - start for start, stop in tiles]
+            assert len(tiles) == 2 and max(widths) <= 200
+            assert min(widths) >= max(widths) / 2
+            _assert_identical(scalar, engine.query_batch(queries, k=2))
+            assert len(engine.last_kernels) == 2
+        # The sparse kernel's pair budget still binds: uneven pair
+        # counts that no even cut fits keep the greedy one.
+        engine = BatchQueryEngine(searcher, kernel="sparse", tile_postings=10)
+        pairs = np.array([1, 1, 1, 1, 1, 1, 9, 9], dtype=np.int64)
+        for start, stop in engine._tiles(pairs, n_series, "sparse"):
+            assert stop - start == 1 or pairs[start:stop].sum() <= 10
+
+    def test_thin_batches_never_run_dense(self):
+        # ECG dense-overlap shape: every series shares cells with every
+        # query, so the one-hot GEMM is feasible and wins wide batches.
+        # Below the row floor it is bound by streaming the one-hot
+        # matrix (and a one-row product stalls a threaded BLAS), so
+        # auto must hand thin batches to another kernel.
+        workload = ecg_workload(600, 32, 128, seed=5)
+        db = STS3Database(workload.database, sigma=3, epsilon=0.58)
+        searcher = db.indexed_searcher()
+        query_sets = [db.transform_query(q) for q in workload.queries]
+        engine = BatchQueryEngine(searcher, kernel="auto")
+        for width in (1, 2, 3):
+            batch = query_sets[:width]
+            results = engine.query_batch(batch, k=5)
+            assert "dense" not in engine.last_kernels
+            _assert_identical([searcher.query(q, k=5) for q in batch], results)
+        engine.query_batch(query_sets, k=5)
+        assert engine.last_kernels == ["dense"]
 
     def test_kernel_autoselection_records_choice(self):
         rng = np.random.default_rng(9)

@@ -159,6 +159,17 @@ class TestStoreEquivalence:
                 store.vocab, store.matrix[:, :0], store.lengths
             )
 
+    @given(sets=database)
+    @settings(max_examples=60)
+    def test_vocabulary_handed_down_from_the_index(self, sets):
+        # The index reads the vocabulary off its sorted postings; a
+        # store built from it equals one that sorts for itself.
+        vocab = IndexedSearcher(sets).vocabulary()
+        own = BitsetStore(sets)
+        handed = BitsetStore(sets, vocab=vocab)
+        assert np.array_equal(vocab, own.vocab)
+        assert np.array_equal(handed.matrix, own.matrix)
+
     def test_nbytes_counts_matrix_and_vocab(self):
         sets = [np.arange(100, dtype=np.int64)]
         store = BitsetStore(sets)

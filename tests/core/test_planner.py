@@ -111,6 +111,16 @@ class TestDefaultMethod:
         kernels = [plan.kernel for plan in db.planner.last_plans]
         assert kernels and "scalar" not in kernels and None not in kernels
 
+    def test_batch_of_one_runs_a_kernel_other_than_the_gemm(self):
+        # Every scalar query of a sharded engine is this call in each
+        # worker: it must stay in the batch engine (not the scalar
+        # loop) and must not become a one-row BLAS product.
+        workload = ecg_workload(80, 1, 128, seed=3)
+        db = STS3Database(workload.database, sigma=3, epsilon=0.58)
+        db.query_batch([workload.queries[0]], k=5)
+        kernels = [plan.kernel for plan in db.planner.last_plans]
+        assert kernels and set(kernels) <= {"bitset", "sparse"}
+
 
 class TestMergeDeterminism:
     def test_duplicate_series_across_segments_tie_break(self):

@@ -97,6 +97,29 @@ class TestParity:
             single.close()
             sharded.close()
 
+    def test_scalar_query_matches_naive_and_its_batch_slot(self, tmp_path):
+        # A scalar query is a width-1 batch in each worker and takes a
+        # different kernel there (popcount sweep) than the same query
+        # inside a width-8 batch (GEMM on this dense-overlap shape);
+        # both must equal the naive scan over the whole collection.
+        workload = ecg_workload(400, 8, 128, seed=9)
+        series, queries = workload.database, workload.queries
+        single = STS3Database(series, sigma=3, epsilon=0.58)
+        sharded = ShardedDatabase.build(
+            series, 2, tmp_path / "shards", sigma=3, epsilon=0.58
+        )
+        try:
+            batch = hex_answers(sharded.query_batch(queries, k=10))
+            for slot in (0, 5):
+                scalar = hex_answers([sharded.query(queries[slot], k=10)])
+                assert scalar == hex_answers(
+                    [single.query(queries[slot], k=10, method="naive")]
+                )
+                assert scalar == [batch[slot]]
+        finally:
+            single.close()
+            sharded.close()
+
     def test_merged_stats_accumulate_all_shards(self, tmp_path):
         single, sharded, rng = build_pair(tmp_path, n_series=80)
         try:
