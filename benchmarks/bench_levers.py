@@ -1,8 +1,8 @@
-"""Benchmark: the three kernel-speed levers (DESIGN.md §13).
+"""Benchmark: the kernel-speed levers (DESIGN.md §13).
 
-Runs the lever phases from :mod:`repro.bench.levers` — thread-parallel
-segment execution, zero-copy mapped archive opens, the query-result
-cache, and the combined serving workload — verifies every levered path
+Runs the lever phases from :mod:`repro.bench.levers` — zero-copy mapped
+archive opens, the query-result cache, and the combined serving
+workload — verifies every levered path
 returns answers bit-identical to the plain path, writes
 ``BENCH_levers.json``, and appends one machine-tagged entry *per
 phase* to ``BENCH_trajectory.json`` so each lever's trend stays
@@ -12,14 +12,11 @@ CI runs one lever per matrix leg with a floor (see
 ``.github/workflows/ci.yml``)::
 
     PYTHONPATH=src python benchmarks/bench_levers.py \
-        --levers parallel --workers 4 --min-parallel-speedup 2.0
-    PYTHONPATH=src python benchmarks/bench_levers.py \
         --levers mmap --min-mmap-speedup 5.0
     PYTHONPATH=src python benchmarks/bench_levers.py \
         --levers cache --min-cache-speedup 20.0
 
-The parallel floor only makes sense on a multi-core runner; the other
-floors hold on any machine.  ``--levers`` defaults to every phase
+The floors hold on any machine.  ``--levers`` defaults to every phase
 including ``combined`` (the PR's ≥5x queries-per-second acceptance,
 assert with ``--min-combined-speedup``).
 """
@@ -45,7 +42,6 @@ TRAJECTORY_SCHEMA = 1
 
 #: the per-phase summary keys worth tracking across PRs.
 _SUMMARY_KEYS = {
-    "parallel": ("parallel_speedup", "queries_per_second", "workers"),
     "mmap": ("mmap_open_speedup", "eager_open_seconds", "mmap_open_seconds",
              "first_touch_seconds"),
     "cache": ("cache_hit_speedup", "uncached_seconds", "cached_seconds"),
@@ -56,7 +52,7 @@ _SUMMARY_KEYS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--levers", default="parallel,mmap,cache,combined",
+    parser.add_argument("--levers", default="mmap,cache,combined",
                         help="comma-separated phases to run")
     parser.add_argument("--series", type=int, default=3000)
     parser.add_argument("--queries", type=int, default=32)
@@ -66,11 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--epsilon", type=float, default=0.58)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--workers", type=int, default=0,
-                        help="thread workers for parallel/combined "
-                             "(0 = cpu count)")
     parser.add_argument("--cache-bytes", type=int, default=8 << 20)
-    parser.add_argument("--min-parallel-speedup", type=float, default=None)
     parser.add_argument("--min-mmap-speedup", type=float, default=None)
     parser.add_argument("--min-cache-speedup", type=float, default=None)
     parser.add_argument("--min-combined-speedup", type=float, default=None)
@@ -137,14 +129,11 @@ def main(argv=None) -> int:
         levers,
         n_series=args.series, n_queries=args.queries, length=args.length,
         sigma=args.sigma, epsilon=args.epsilon, k=args.k, seed=args.seed,
-        repeats=args.repeats, workers=args.workers,
-        cache_bytes=args.cache_bytes,
+        repeats=args.repeats, cache_bytes=args.cache_bytes,
     )
     for record in records:
         phase = record["phase"]
         headline = {
-            "parallel": f"{record.get('parallel_speedup', 0):.2f}x "
-                        f"({record.get('workers')} workers)",
             "mmap": f"{record.get('mmap_open_speedup', 0):.2f}x open",
             "cache": f"{record.get('cache_hit_speedup', 0):.2f}x hit path",
             "combined": f"{record.get('combined_speedup', 0):.2f}x "
@@ -186,7 +175,6 @@ def main(argv=None) -> int:
             )
             return 1
     floors = (
-        ("parallel", "parallel_speedup", args.min_parallel_speedup),
         ("mmap", "mmap_open_speedup", args.min_mmap_speedup),
         ("cache", "cache_hit_speedup", args.min_cache_speedup),
         ("combined", "combined_speedup", args.min_combined_speedup),

@@ -10,7 +10,6 @@ from .levers import (
     run_combined_phase,
     run_lever_phases,
     run_mmap_phase,
-    run_parallel_phase,
 )
 from .replication import run_replication_phase
 from .runner import repro_scale, run_traced, scaled
@@ -26,7 +25,6 @@ __all__ = [
     "run_combined_phase",
     "run_lever_phases",
     "run_mmap_phase",
-    "run_parallel_phase",
     "run_replication_phase",
     "run_shard_phase",
     "run_traced",

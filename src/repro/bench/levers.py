@@ -1,11 +1,9 @@
-"""The three kernel-speed levers as reusable benchmark phases.
+"""The kernel-speed levers as reusable benchmark phases.
 
 Each phase measures one lever of DESIGN.md §13 on a self-contained
 workload, verifies the levered path returns answers bit-identical to
 the plain path, and returns a JSON-ready record:
 
-- :func:`run_parallel_phase` — serial vs thread-parallel segment
-  execution (``max_workers``) over a multi-segment catalog;
 - :func:`run_mmap_phase` — eager vs zero-copy mapped archive opens,
   plus the first-touch cost the mapped path defers;
 - :func:`run_cache_phase` — uncached queries vs warm result-cache hits;
@@ -22,7 +20,6 @@ discipline as the batch-engine benchmark.
 from __future__ import annotations
 
 import gc
-import os
 import tempfile
 import time
 from pathlib import Path
@@ -30,11 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from ..core import STS3Database, load_database, save_database
-from ..core.executor import available_cpu_count, resolve_workers
 
 __all__ = [
     "build_segmented_database",
-    "run_parallel_phase",
     "run_mmap_phase",
     "run_cache_phase",
     "run_combined_phase",
@@ -76,8 +71,7 @@ def build_segmented_database(
 
     The base segment holds ``n_series`` series; each further segment is
     a sealed buffer of ``buffer_capacity`` spiked (bound-breaking)
-    series, so the catalog genuinely has independent per-segment plans
-    for the parallel lever to fan out.
+    series, so every query genuinely plans and merges across segments.
     """
     rng = np.random.default_rng(seed)
     base = [rng.normal(size=length) for _ in range(n_series)]
@@ -93,58 +87,6 @@ def build_segmented_database(
             spike += 10.0
             db.insert(series)
     return db, rng
-
-
-def run_parallel_phase(
-    n_series: int = 3000,
-    n_queries: int = 64,
-    length: int = 128,
-    sigma: float = 3,
-    epsilon: float = 0.58,
-    k: int = 10,
-    seed: int = 42,
-    repeats: int = 3,
-    workers: int = 0,
-    segments: int = 4,
-) -> dict:
-    """Serial vs thread-parallel batch execution over one catalog.
-
-    ``workers=0`` resolves to the machine's CPU count.  The speedup is
-    honest about single-core machines: with one core the parallel path
-    still runs (one pool worker) and the record says so, but no floor
-    should be asserted there — the CI leg pins a 4-vCPU runner.
-    """
-    resolved = resolve_workers(workers if workers else 0)
-    db, rng = build_segmented_database(
-        n_series, length, sigma, epsilon, seed, segments=segments
-    )
-    queries = [rng.normal(size=length) for _ in range(n_queries)]
-    db.query_batch(queries[:4], k=k, method="index")  # warm caches
-
-    db.max_workers = None
-    serial_results = db.query_batch(queries, k=k, method="index")
-    serial = _best_of(lambda: db.query_batch(queries, k=k, method="index"), repeats)
-
-    db.max_workers = resolved
-    parallel_results = db.query_batch(queries, k=k, method="index")
-    parallel = _best_of(lambda: db.query_batch(queries, k=k, method="index"), repeats)
-    db.max_workers = None
-
-    identical = _neighbor_lists(serial_results) == _neighbor_lists(parallel_results)
-    return {
-        "phase": "parallel",
-        "n_series": n_series,
-        "n_queries": n_queries,
-        "segments": len(db.catalog.segments),
-        "workers": resolved,
-        "cpu_count": os.cpu_count(),
-        "available_cores": available_cpu_count(),
-        "serial_seconds": round(serial, 6),
-        "parallel_seconds": round(parallel, 6),
-        "parallel_speedup": round(serial / parallel, 3),
-        "queries_per_second": round(n_queries / parallel, 2),
-        "identical_neighbor_lists": identical,
-    }
 
 
 def run_mmap_phase(
@@ -265,46 +207,42 @@ def run_combined_phase(
     epsilon: float = 0.58,
     k: int = 10,
     seed: int = 42,
-    workers: int = 0,
     cache_bytes: int = 8 << 20,
     segments: int = 4,
 ) -> dict:
     """All levers on vs all levers off, on a repeated-query serving run.
 
     The workload replays the same ``n_queries`` batch for ``epochs``
-    rounds — the shape a query cache exists for.  The levered side pays
-    one miss epoch and serves the rest from cache (parallel execution
-    accelerates the misses on multi-core machines); the baseline
-    recomputes every round.  Backs the PR's combined ≥5x acceptance.
+    rounds — the shape a query cache exists for.  The levered side is
+    the same catalog opened zero-copy from its archive with the result
+    cache on: it pays one miss epoch and serves the rest from cache.
+    The baseline (built in memory, no cache) recomputes every round.
+    Backs the PR's combined ≥5x acceptance.
     """
-    resolved = resolve_workers(workers if workers else 0)
     db, rng = build_segmented_database(
-        n_series, length, sigma, epsilon, seed, segments=segments,
-        cache_bytes=cache_bytes,
+        n_series, length, sigma, epsilon, seed, segments=segments
     )
     queries = [rng.normal(size=length) for _ in range(n_queries)]
-    db.query_batch(queries[:4], k=k, method="index")  # warm structures
     total = n_queries * epochs
 
-    def serve() -> list:
+    def serve(target) -> list:
         out = []
         for _ in range(epochs):
-            out.extend(db.query_batch(queries, k=k, method="index"))
+            out.extend(target.query_batch(queries, k=k, method="index"))
         return out
 
-    db.result_cache.clear()
-    cache = db.result_cache
-    db.result_cache = None
-    db.max_workers = None
-    baseline_results = serve()
-    baseline = _best_of(lambda: serve(), 1)
+    db.query_batch(queries[:4], k=k, method="index")  # warm structures
+    baseline_results = serve(db)
+    baseline = _best_of(lambda: serve(db), 1)
 
-    db.result_cache = cache
-    db.max_workers = resolved
-    cache.clear()
-    levered_results = serve()  # includes the miss epoch
-    levered = _best_of(lambda: (cache.clear(), serve()), 1)
-    db.max_workers = None
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = Path(tmp) / "levers.sts3"
+        save_database(db, archive, pack_bitsets=True)
+        mapped = load_database(archive, mmap=True, cache_bytes=cache_bytes)
+        cache = mapped.result_cache
+        levered_results = serve(mapped)  # includes the miss epoch
+        levered = _best_of(lambda: (cache.clear(), serve(mapped)), 1)
+        mapped.close()
 
     identical = _neighbor_lists(baseline_results) == _neighbor_lists(levered_results)
     return {
@@ -312,8 +250,6 @@ def run_combined_phase(
         "n_series": n_series,
         "requests": total,
         "epochs": epochs,
-        "workers": resolved,
-        "available_cores": available_cpu_count(),
         "cache_bytes": cache_bytes,
         "baseline_seconds": round(baseline, 6),
         "levered_seconds": round(levered, 6),
@@ -325,7 +261,6 @@ def run_combined_phase(
 
 
 _PHASES = {
-    "parallel": run_parallel_phase,
     "mmap": run_mmap_phase,
     "cache": run_cache_phase,
     "combined": run_combined_phase,
@@ -342,7 +277,6 @@ def run_lever_phases(
     k: int = 10,
     seed: int = 42,
     repeats: int = 3,
-    workers: int = 0,
     cache_bytes: int = 8 << 20,
 ) -> list[dict]:
     """Run the named lever phases with one shared workload shape."""
@@ -356,8 +290,6 @@ def run_lever_phases(
             n_series=n_series, n_queries=n_queries, length=length,
             sigma=sigma, epsilon=epsilon, k=k, seed=seed,
         )
-        if lever in ("parallel", "combined"):
-            kwargs["workers"] = workers
         if lever in ("cache", "combined"):
             kwargs["cache_bytes"] = cache_bytes
         if lever != "combined":

@@ -5,8 +5,8 @@ One phase, three verdicts (docs/sharding.md):
 - **throughput** — batch k-NN queries/second of an N-shard
   :class:`~repro.core.shard.ShardedDatabase` against the same batch on
   the single-process engine run serially.  Shards are whole processes,
-  so unlike the thread-pool parallel lever the speedup survives the
-  GIL; the CI gate asserts ≥2x at 4 shards on the 4-vCPU runner.
+  the engine's one way to use more cores; the CI gate asserts ≥2x at
+  4 shards on the 4-vCPU runner.
 - **bit-identity** — every sharded answer must equal the
   single-process answer bit for bit (similarities compared by
   ``float.hex``, never a tolerance), the scatter-gather correctness
@@ -17,9 +17,9 @@ One phase, three verdicts (docs/sharding.md):
   query after that is complete again and finds the inserted series.
 
 Wired into ``sts3 shard-bench`` and ``benchmarks/bench_shard.py`` (the
-CI gate).  Like the parallel lever, the record carries
-``available_cores`` so a ~1.0x run on a one-core machine reads as the
-hardware ceiling it is, not a regression.
+CI gate).  The record carries ``available_cores`` so a ~1.0x run on a
+one-core machine reads as the hardware ceiling it is, not a
+regression.
 """
 
 from __future__ import annotations

@@ -26,9 +26,8 @@ Subcommands:
 - ``sts3 recover`` — crash recovery: load the archive (quarantining
   corrupt segments), replay the WAL tail, and write a fresh checkpoint
   archive (see docs/durability.md for the runbook).
-- ``sts3 bench`` — run the kernel-speed lever phases (parallel segment
-  execution, zero-copy mapped loads, the query-result cache, and the
-  combined serving workload) on a synthetic workload and print a
+- ``sts3 bench`` — run the kernel-speed lever phases (zero-copy mapped
+  loads, the query-result cache, and the combined serving workload) on a synthetic workload and print a
   per-lever speedup table (``--levers`` picks phases; DESIGN.md §13).
 - ``sts3 serve`` — run the asyncio query server (binary protocol +
   HTTP adapter) over a saved archive, a UCR-format file, or a
@@ -163,9 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench", help="run the kernel-speed lever benchmark phases"
     )
-    bench.add_argument("--levers", default="parallel,mmap,cache,combined",
-                       help="comma-separated phases: parallel, mmap, cache, "
-                            "combined")
+    bench.add_argument("--levers", default="mmap,cache,combined",
+                       help="comma-separated phases: mmap, cache, combined")
     bench.add_argument("--series", type=int, default=2000,
                        help="database size per phase")
     bench.add_argument("--queries", type=int, default=32)
@@ -176,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=42)
     bench.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions; best (min) time is reported")
-    bench.add_argument("--workers", type=int, default=0,
-                       help="thread workers for parallel/combined "
-                            "(0 = cpu count)")
     bench.add_argument("--cache-bytes", type=int, default=8 << 20,
                        help="result-cache budget for cache/combined")
     bench.add_argument("--json", type=str, default=None, metavar="PATH",
@@ -209,9 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "requests fail RATE_LIMITED (default: unlimited)")
     serve.add_argument("--burst", type=int, default=20,
                        help="per-client burst allowance above --rate")
-    serve.add_argument("--max-workers", type=int, default=None,
-                       help="intra-query segment parallelism of the engine "
-                            "(unset = serial, 0 = cpu count; DESIGN.md §13)")
     serve.add_argument("--cache-bytes", type=int, default=0,
                        help="query-result cache budget of the engine "
                             "(0 disables; DESIGN.md §13)")
@@ -771,8 +763,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             levers,
             n_series=args.series, n_queries=args.queries, length=args.length,
             sigma=args.sigma, epsilon=args.epsilon, k=args.k, seed=args.seed,
-            repeats=args.repeats, workers=args.workers,
-            cache_bytes=args.cache_bytes,
+            repeats=args.repeats, cache_bytes=args.cache_bytes,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -781,46 +772,30 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for record in records:
         phase = record["phase"]
         speedup_key = {
-            "parallel": "parallel_speedup",
             "mmap": "mmap_open_speedup",
             "cache": "cache_hit_speedup",
             "combined": "combined_speedup",
         }[phase]
         baseline, levered = {
-            "parallel": ("serial_seconds", "parallel_seconds"),
             "mmap": ("eager_open_seconds", "mmap_open_seconds"),
             "cache": ("uncached_seconds", "cached_seconds"),
             "combined": ("baseline_seconds", "levered_seconds"),
         }[phase]
-        cores = record.get("available_cores")
         rows.append([
             phase,
             f"{record[baseline] * 1e3:.2f}",
             f"{record[levered] * 1e3:.2f}",
             f"{record[speedup_key]:.2f}x",
-            f"{record['workers']}/{cores}" if cores is not None else "-",
             record["identical_neighbor_lists"],
         ])
     print(render_table(
-        ["lever", "baseline (ms)", "levered (ms)", "speedup",
-         "workers/cores", "identical"],
+        ["lever", "baseline (ms)", "levered (ms)", "speedup", "identical"],
         rows,
         title=(
             f"lever phases over {args.series} series "
             f"(length {args.length}, k={args.k}, repeats {args.repeats})"
         ),
     ))
-    core_bound = [
-        r for r in records
-        if r.get("available_cores") == 1 and "workers" in r
-    ]
-    if core_bound:
-        phases = ", ".join(r["phase"] for r in core_bound)
-        print(
-            f"note: only 1 CPU core is available to this process — "
-            f"~1.0x on the {phases} phase(s) is the hardware ceiling, "
-            f"not a regression"
-        )
     combined = next((r for r in records if r["phase"] == "combined"), None)
     if combined is not None:
         print(
@@ -854,17 +829,14 @@ def _serve_build_db(args: argparse.Namespace):
         workload = make_workload(stream, args.series, 1, args.length)
         return STS3Database(
             workload.database, sigma=args.sigma, epsilon=args.epsilon,
-            max_workers=args.max_workers, cache_bytes=args.cache_bytes,
+            cache_bytes=args.cache_bytes,
         ), f"synthetic ECG ({args.series} x {args.length})"
     from .core import load_database
     from .exceptions import DatasetError
 
     try:
         return (
-            load_database(
-                args.file,
-                max_workers=args.max_workers, cache_bytes=args.cache_bytes,
-            ),
+            load_database(args.file, cache_bytes=args.cache_bytes),
             f"archive {args.file}",
         )
     except (DatasetError, ValueError):
@@ -874,7 +846,7 @@ def _serve_build_db(args: argparse.Namespace):
     dataset = load_ucr_file(args.file)
     return STS3Database(
         list(dataset.series), sigma=args.sigma, epsilon=args.epsilon,
-        max_workers=args.max_workers, cache_bytes=args.cache_bytes,
+        cache_bytes=args.cache_bytes,
     ), f"UCR file {args.file}"
 
 

@@ -10,7 +10,7 @@ from .batch import BatchQueryEngine, QueryWorkspace, batch_query
 from .bitset import BitsetStore, popcount_u64, popcount_u64_lut
 from .cache import CandidateCache, LRUBytesCache, QueryResultCache, fingerprint
 from .catalog import CatalogSnapshot, QuarantineRecord, SegmentCatalog
-from .executor import ExecutorPool, available_cpu_count, get_pool, resolve_workers
+from .executor import available_cpu_count
 from .clustering import cluster_series, k_medoids
 from .database import STS3Database, UpdateBuffer
 from .maintenance import MaintenanceConfig, MaintenanceEngine, plan_merge, tier_of
@@ -77,7 +77,6 @@ __all__ = [
     "CatalogSnapshot",
     "CompressedSet",
     "DictInvertedIndex",
-    "ExecutorPool",
     "Grid",
     "HashRing",
     "IndexedSearcher",
@@ -127,7 +126,6 @@ __all__ = [
     "estimate_jaccard",
     "available_cpu_count",
     "fingerprint",
-    "get_pool",
     "k_medoids",
     "intersection_size",
     "jaccard",
@@ -143,7 +141,6 @@ __all__ = [
     "recover_database",
     "replay_wal",
     "replica_mirror_name",
-    "resolve_workers",
     "save_database",
     "scan_wal",
     "shard_manifest_path",

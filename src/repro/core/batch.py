@@ -148,25 +148,6 @@ class QueryWorkspace:
         return sum(b.nbytes for b in self._buffers.values())
 
 
-class _KernelArtifacts:
-    """Lazily-built index-side artifacts shared by engine clones.
-
-    The one-hot matrix and packed bitset depend only on the
-    (immutable) searcher, never on the workspace, so workspace-bound
-    clones (:meth:`BatchQueryEngine.with_workspace`)
-    share one instance and parallel shards build each artifact exactly
-    once, under the lock.
-    """
-
-    __slots__ = ("lock", "onehot", "bitset")
-
-    def __init__(self, bitset=None):
-        self.lock = threading.Lock()
-        self.onehot: np.ndarray | None = None
-        #: a BitsetStore, a zero-arg supplier for one, or None.
-        self.bitset = bitset
-
-
 class BatchQueryEngine:
     """One-pass k-NN over the inverted index for a whole query batch.
 
@@ -212,7 +193,6 @@ class BatchQueryEngine:
         kernel: str = "auto",
         dense_limit: int = 64_000_000,
         bitset_store=None,
-        artifacts: _KernelArtifacts | None = None,
     ):
         if tile_cells < 1:
             raise ParameterError(f"tile_cells must be >= 1, got {tile_cells}")
@@ -228,33 +208,19 @@ class BatchQueryEngine:
         self.dense_limit = int(dense_limit)
         self._lengths_f64 = np.asarray(searcher.lengths, dtype=np.float64)
         self._has_empty_set = bool(np.any(searcher.lengths == 0))
-        # Index-side artifacts (one-hot, bitset), built
-        # lazily on first use and shared with workspace-bound clones.
-        self._artifacts = (
-            artifacts if artifacts is not None else _KernelArtifacts(bitset_store)
-        )
+        # Index-side artifacts (one-hot, bitset), built lazily on first
+        # use.  The lock makes that build happen once when concurrent
+        # direct callers of one database reach the same engine together
+        # (the serving layer's single engine thread never races itself;
+        # maintenance drops a segment's engine under the segment lock
+        # but never builds into one).
+        self._build_lock = threading.Lock()
+        self._onehot: np.ndarray | None = None
+        #: a BitsetStore, a zero-arg supplier for one, or None.
+        self._bitset = bitset_store
         #: kernel chosen for each tile of the last query_batch call
         #: (diagnostic, consumed by the benchmark report).
         self.last_kernels: list[str] = []
-
-    def with_workspace(self, workspace: QueryWorkspace | None) -> "BatchQueryEngine":
-        """A clone bound to ``workspace`` but sharing every artifact.
-
-        Workspaces are not thread-safe; parallel batch shards each run
-        through their own clone over a per-worker workspace while the
-        heavy index-side artifacts stay shared (and build once).
-        ``last_kernels`` is per-clone, so shards don't race on the
-        diagnostic either.
-        """
-        return BatchQueryEngine(
-            self.searcher,
-            workspace=workspace,
-            tile_cells=self.tile_cells,
-            tile_postings=self.tile_postings,
-            kernel=self.kernel,
-            dense_limit=self.dense_limit,
-            artifacts=self._artifacts,
-        )
 
     # -- batch entry point ----------------------------------------------
 
@@ -415,30 +381,28 @@ class BatchQueryEngine:
 
     def _bitset_store(self) -> BitsetStore:
         """The packed database bitmap: supplied, injected, or built once."""
-        art = self._artifacts
-        if not isinstance(art.bitset, BitsetStore):
-            with art.lock:
-                if callable(art.bitset):
-                    art.bitset = art.bitset()
-                if art.bitset is None:
-                    art.bitset = BitsetStore(
+        if not isinstance(self._bitset, BitsetStore):
+            with self._build_lock:
+                if callable(self._bitset):
+                    self._bitset = self._bitset()
+                if self._bitset is None:
+                    self._bitset = BitsetStore(
                         self.searcher.sets, vocab=self.searcher.vocabulary()
                     )
-        return art.bitset
+        return self._bitset
 
     def _onehot_matrix(self) -> np.ndarray:
         """One-hot (distinct cells × n_series) float32 matrix, built once."""
-        art = self._artifacts
-        if art.onehot is None:
-            with art.lock:
-                if art.onehot is None:
+        if self._onehot is None:
+            with self._build_lock:
+                if self._onehot is None:
                     distinct = self.searcher.vocabulary()
                     n_series = len(self.searcher.sets)
                     onehot = np.zeros((distinct.size, n_series), dtype=np.float32)
                     rank = np.searchsorted(distinct, self.searcher._cells)
                     onehot.ravel()[rank * n_series + self.searcher._owners] = 1.0
-                    art.onehot = onehot
-        return art.onehot
+                    self._onehot = onehot
+        return self._onehot
 
     def _counts_sparse(
         self,

@@ -140,7 +140,6 @@ class STS3Database:
         buffer_capacity: int = 32,
         default_scale: int = 6,
         default_max_scale: int = 4,
-        max_workers: int | None = None,
         cache_bytes: int = 0,
         maintenance=None,
     ):
@@ -164,7 +163,6 @@ class STS3Database:
             self.catalog,
             default_scale=self.default_scale,
             default_max_scale=self.default_max_scale,
-            max_workers=max_workers,
         )
         self._workspace = QueryWorkspace()
         self.buffer = UpdateBuffer(
@@ -195,13 +193,14 @@ class STS3Database:
             self.enable_maintenance(maintenance)
 
     @property
-    def max_workers(self) -> int | None:
-        """Thread-parallelism knob, delegated to the planner (live)."""
-        return self.planner.max_workers
+    def clock(self):
+        """The monotonic-seconds clock deadlines are measured on.
 
-    @max_workers.setter
-    def max_workers(self, value: int | None) -> None:
-        self.planner.max_workers = value
+        It is the planner's (injectable) clock, so a serving layer that
+        stamps request arrival reads the same time base the planner
+        checks budgets against.
+        """
+        return self.planner.clock
 
     # -- construction helpers -------------------------------------------
 
@@ -247,7 +246,6 @@ class STS3Database:
     def _finish_assembly(
         self,
         buffer_capacity: int,
-        max_workers: int | None = None,
         cache_bytes: int = 0,
     ) -> None:
         """Wire planner/buffer/caches once the catalog holds segments.
@@ -259,7 +257,6 @@ class STS3Database:
             self.catalog,
             default_scale=self.default_scale,
             default_max_scale=self.default_max_scale,
-            max_workers=max_workers,
         )
         self._workspace = QueryWorkspace()
         last = self.catalog.segments[-1].grid
@@ -289,7 +286,6 @@ class STS3Database:
         buffer_capacity: int,
         default_scale: int,
         default_max_scale: int,
-        max_workers: int | None = None,
         cache_bytes: int = 0,
     ) -> "STS3Database":
         """Reassemble a database from per-segment ``(series, grid)`` pairs.
@@ -307,9 +303,7 @@ class STS3Database:
         )
         for series, grid in payloads:
             self.catalog.adopt(series, grid)
-        self._finish_assembly(
-            buffer_capacity, max_workers=max_workers, cache_bytes=cache_bytes
-        )
+        self._finish_assembly(buffer_capacity, cache_bytes=cache_bytes)
         return self
 
     # -- durability -------------------------------------------------------
@@ -583,7 +577,7 @@ class STS3Database:
         result then names them and reports ``complete=False`` with a
         ``degraded_reason`` instead of blowing the latency budget or
         raising.  The method never changes under a deadline.
-        ``deadline_start`` (a ``planner.clock`` reading) backdates the
+        ``deadline_start`` (a :attr:`clock` reading) backdates the
         budget to a request's arrival time so queue wait counts too —
         the serving layer's hook (docs/serving.md); ignored without
         ``deadline_ms``.
@@ -697,9 +691,8 @@ class STS3Database:
         skip one mid-pass.  ``deadline_start`` backdates every budget
         to one shared arrival stamp (the serving layer's batch hook).
 
-        The batch runs in this process.  To spread it over cores, set
-        ``max_workers`` (threads over segments and batch slices,
-        DESIGN.md §13) or serve the collection from a
+        The batch runs in this process, one segment after another.  To
+        spread it over cores, serve the collection from a
         :class:`~repro.core.shard.ShardedDatabase` (one persistent
         process per shard, DESIGN.md §16).
         """
@@ -765,7 +758,7 @@ class STS3Database:
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, series: np.ndarray) -> None:
+    def insert(self, series: np.ndarray) -> dict:
         """Add a series; out-of-bound series go through the lazy buffer.
 
         An in-bound series extends the newest segment directly (its
@@ -775,18 +768,23 @@ class STS3Database:
         are adopted as-is (Section 5.3.2's refresh, deferred further to
         :meth:`compact`).
 
+        Returns where the series landed: ``{"n_series", "buffered",
+        "path", "sealed_segment"}``, with ``path`` ``"direct"`` or
+        ``"buffered"`` and ``sealed_segment`` True for the insert whose
+        buffer fill sealed a new segment.
+
         With a WAL attached the insert is journaled first, so a crash
         any time after the append (once synced) cannot lose it.
         """
-        self._insert_prepared(self._prepare(series))
+        return self._insert_prepared(self._prepare(series))
 
-    def _insert_prepared(self, prepared: np.ndarray) -> None:
+    def _insert_prepared(self, prepared: np.ndarray) -> dict:
         """Insert an already-prepared series (the WAL-replay entry point).
 
         The WAL journals *prepared* series — z-normalization is not
         bitwise idempotent, so replaying raw inputs through
         :meth:`_prepare` again would break the bit-identical-recovery
-        contract.
+        contract.  Returns the :meth:`insert` report.
         """
         with self._mutation_lock:
             self._require_writable("insert")
@@ -798,7 +796,7 @@ class STS3Database:
                 get_registry().counter(
                     "sts3_inserts_total", "series inserted, by destination"
                 ).inc(path="direct")
-                return
+                return self._insert_report("direct", sealed=False)
             self.buffer.add(prepared)
             # Not a structural change, but cached answers computed before
             # the buffer grew are stale — advance the generation so the
@@ -812,8 +810,18 @@ class STS3Database:
                 len(self.buffer),
                 self.buffer.capacity,
             )
-            if self.buffer.full:
+            sealed = self.buffer.full
+            if sealed:
                 self.flush()
+            return self._insert_report("buffered", sealed=sealed)
+
+    def _insert_report(self, path: str, sealed: bool) -> dict:
+        return {
+            "n_series": len(self),
+            "buffered": len(self.buffer),
+            "path": path,
+            "sealed_segment": sealed,
+        }
 
     def verify_integrity(self) -> list[str]:
         """Self-check the database's internal consistency.

@@ -410,7 +410,6 @@ def _save_v4(
 def load_database(
     path: str | Path,
     mmap: bool = False,
-    max_workers: int | None = None,
     cache_bytes: int = 0,
 ) -> STS3Database:
     """Rebuild a database previously written by :func:`save_database`.
@@ -432,13 +431,11 @@ def load_database(
     raises :class:`~repro.exceptions.DatasetError` at first touch
     instead, since there is no load phase left to quarantine into.
 
-    ``max_workers`` and ``cache_bytes`` configure the loaded database's
-    executor pool and query-result cache (see :class:`STS3Database`).
+    ``cache_bytes`` sizes the loaded database's query-result cache (see
+    :class:`STS3Database`).
     """
     with span("persist.load", mmap=mmap):
         db = _with_retries("load", lambda: _load_database(path, mmap))
-    if max_workers is not None:
-        db.max_workers = max_workers
     if cache_bytes:
         db.result_cache = QueryResultCache(int(cache_bytes))
     get_registry().counter(
@@ -968,16 +965,8 @@ def apply_wal_records(
             if op == "note":
                 pass  # annotation only; nothing to re-apply
             elif op == "insert":
-                buffered_before = len(db.buffer)
-                rebuilds_before = db.rebuild_count
-                db._insert_prepared(decode_series(record["series"]))
-                if len(db.buffer) == buffered_before + 1:
-                    info = {"path": "buffered", "sealed": False}
-                elif db.rebuild_count > rebuilds_before:
-                    # landed in the buffer, which filled and sealed
-                    info = {"path": "buffered", "sealed": True}
-                else:
-                    info = {"path": "direct", "sealed": False}
+                report = db._insert_prepared(decode_series(record["series"]))
+                info = {"path": report["path"], "sealed": report["sealed_segment"]}
             elif op == "flush":
                 rebuilds_before = db.rebuild_count
                 db.flush()
@@ -1005,7 +994,6 @@ def recover_database(
     wal_dir: str | Path | None = None,
     fsync_batch: int | None = None,
     mmap: bool = False,
-    max_workers: int | None = None,
     cache_bytes: int = 0,
     observer=None,
 ) -> STS3Database:
@@ -1016,7 +1004,7 @@ def recover_database(
     a torn tail is truncated first), and re-attaches a live WAL so
     the recovered database keeps journaling.  ``wal_dir`` defaults to
     :func:`default_wal_dir`; a missing WAL directory simply means
-    nothing to replay.  ``mmap``/``max_workers``/``cache_bytes`` are
+    nothing to replay.  ``mmap``/``cache_bytes`` are
     forwarded to :func:`load_database` (replaying an insert against a
     mapped segment materializes just that segment); ``observer`` to
     :func:`apply_wal_records`.
@@ -1024,9 +1012,7 @@ def recover_database(
     path = Path(path)
     wal_dir = default_wal_dir(path) if wal_dir is None else Path(wal_dir)
     with span("recover", archive=str(path)):
-        db = load_database(
-            path, mmap=mmap, max_workers=max_workers, cache_bytes=cache_bytes
-        )
+        db = load_database(path, mmap=mmap, cache_bytes=cache_bytes)
         records, report = replay_wal(wal_dir, truncate=True)
         applied = apply_wal_records(
             db, records, from_seq=db.wal_seq, observer=observer

@@ -28,16 +28,14 @@ never rewritten after planning: the only deadline degradation is a
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..obs import get_registry, span
-from .batch import BatchQueryEngine, QueryWorkspace
+from .batch import QueryWorkspace
 from .catalog import SegmentCatalog
-from .executor import map_ordered, resolve_workers
 from .heap import KnnHeap
 from .jaccard import jaccard
 from .result import QueryResult, SearchStats
@@ -46,7 +44,6 @@ from .setrep import transform_query
 
 __all__ = [
     "METHODS",
-    "MIN_BATCH_SHARD",
     "QueryPlanner",
     "SegmentPlan",
     "SMALL_SEGMENT",
@@ -60,11 +57,6 @@ METHODS = ("naive", "index", "pruning", "approximate", "minhash", "auto")
 #: postings/zone tables for a handful of series costs more than the
 #: exhaustive scan they would accelerate.
 SMALL_SEGMENT = 64
-
-#: parallel ``execute_batch`` never cuts a segment's query batch into
-#: shards smaller than this — below it, per-shard fixed costs (plan,
-#: transform dispatch, kernel setup) eat the concurrency win.
-MIN_BATCH_SHARD = 16
 
 
 @dataclass(frozen=True)
@@ -93,15 +85,10 @@ class QueryPlanner:
         catalog: SegmentCatalog,
         default_scale: int = 6,
         default_max_scale: int = 4,
-        max_workers: int | None = None,
     ):
         self.catalog = catalog
         self.default_scale = int(default_scale)
         self.default_max_scale = int(default_max_scale)
-        #: thread-parallelism knob (DESIGN.md §13): ``None`` keeps the
-        #: serial paths byte-identical to previous releases, ``0`` uses
-        #: one worker per CPU, ``n`` uses n.  Settable live.
-        self.max_workers = max_workers
         self._calibrated: tuple[int, str] | None = None
         #: plans of the most recent execute/execute_batch call, with
         #: their executed kernels recorded (diagnostic).
@@ -109,9 +96,6 @@ class QueryPlanner:
         #: monotonic-seconds clock for deadline accounting — injectable
         #: so degradation tests advance time deterministically.
         self.clock = time.monotonic
-        # Per-pool-thread QueryWorkspace registry (workspaces are not
-        # thread-safe; each executor thread reuses its own).
-        self._worker_local = threading.local()
 
     @property
     def calibrated_method(self) -> str | None:
@@ -240,32 +224,21 @@ class QueryPlanner:
             else:
                 start = float(deadline_start)
 
-            def run_one(position: int) -> QueryResult | None:
+            results: list[QueryResult] = []
+            executed_plans: list[SegmentPlan] = []
+            for position, (segment, plan) in enumerate(zip(segments, plans)):
                 # The budget is read when the segment *starts*, so a
                 # blown deadline cancels plans that have not begun.
                 if deadline_ms is not None:
                     elapsed_ms = (self.clock() - start) * 1000.0
                     if elapsed_ms >= deadline_ms and position > 0:
-                        return None
-                return self._run_segment(
-                    segments[position], plans[position].method,
-                    prepared, k, scale, max_scale,
-                )
-
-            # Outcomes come back in plan order whatever ran them, so the
-            # KnnHeap merge below is bit-identical for every worker count.
-            outcomes = map_ordered(
-                run_one, range(len(segments)), resolve_workers(self.max_workers)
-            )
-            results: list[QueryResult] = []
-            executed_plans: list[SegmentPlan] = []
-            for segment, plan, result in zip(segments, plans, outcomes):
-                if result is None:
-                    reasons.add("deadline")
-                    skipped.append(f"segment-{segment.segment_id}")
-                else:
-                    results.append(result)
-                    executed_plans.append(plan)
+                        reasons.add("deadline")
+                        skipped.append(f"segment-{segment.segment_id}")
+                        continue
+                results.append(self._run_segment(
+                    segment, plan.method, prepared, k, scale, max_scale,
+                ))
+                executed_plans.append(plan)
             if not reasons and len(results) == 1 and not (
                 buffer is not None and len(buffer)
             ):
@@ -300,70 +273,42 @@ class QueryPlanner:
     ) -> list[QueryResult]:
         """Answer many prepared queries, vectorizing index-planned segments.
 
-        Segments planned as ``index`` run the batch through their
-        :class:`~repro.core.batch.BatchQueryEngine`, cut into contiguous
-        shards of at least :data:`MIN_BATCH_SHARD` queries when there
-        is more than one worker; other segments are one task each that
-        loops the scalar searcher.  Shard results are reassembled in
-        query order and merged per query, so the output matches scalar
-        :meth:`execute` calls exactly — every kernel produces the same
-        similarities bit for bit, whatever the batch is cut into.
+        Segments planned as ``index`` run the whole batch through their
+        :class:`~repro.core.batch.BatchQueryEngine`; other segments loop
+        the scalar searcher.  Results are merged per query, so the
+        output matches scalar :meth:`execute` calls exactly — every
+        kernel produces the same similarities bit for bit.
         """
         scale = self.default_scale if scale is None else int(scale)
         max_scale = self.default_max_scale if max_scale is None else int(max_scale)
-        n_queries = len(prepared_queries)
-        workers = resolve_workers(self.max_workers)
         with self.catalog.pinned() as snapshot:
             segments = snapshot.segments
             with span("plan", method=method, segments=len(segments),
-                      queries=n_queries):
+                      queries=len(prepared_queries)):
                 plans = self.plan(method, snapshot)
-            # (position, engine or None for the scalar loop, lo, hi)
-            tasks: list[tuple[int, BatchQueryEngine | None, int, int]] = []
+            per_segment: list[list[QueryResult]] = []
             for position, (segment, plan) in enumerate(zip(segments, plans)):
-                engine, n_shards = None, 1
-                if plan.method == "index":
-                    # Build (and cache) the segment engine before fan-out
-                    # so pool threads never race the segment's lazy caches.
-                    segment.mark_used()
-                    engine = segment.batch_engine(workspace)
-                    n_shards = max(1, min(workers, n_queries // MIN_BATCH_SHARD))
-                tasks.extend(
-                    (position, engine,
-                     n_queries * shard // n_shards,
-                     n_queries * (shard + 1) // n_shards)
-                    for shard in range(n_shards)
-                )
-
-            def run_task(task) -> tuple[list[QueryResult], str | None]:
-                position, engine, lo, hi = task
-                segment, queries = segments[position], prepared_queries[lo:hi]
-                if engine is None:
-                    method = plans[position].method
-                    return [
-                        self._run_segment(segment, method, p, k, scale, max_scale)
-                        for p in queries
-                    ], "scalar"
-                if workers > 1:
-                    # Workspaces are not thread-safe: each executor
-                    # thread runs a clone over its own private one.
-                    engine = engine.with_workspace(self._shard_workspace())
-                with span("transform", queries=len(queries),
+                if plan.method != "index":
+                    per_segment.append([
+                        self._run_segment(segment, plan.method, p, k, scale, max_scale)
+                        for p in prepared_queries
+                    ])
+                    plans[position] = replace(plan, kernel="scalar")
+                    continue
+                segment.mark_used()
+                engine = segment.batch_engine(workspace)
+                with span("transform", queries=len(prepared_queries),
                           segment=segment.segment_id):
-                    query_sets = [transform_query(p, segment.grid) for p in queries]
-                results = engine.query_batch(query_sets, k=k)
+                    query_sets = [
+                        transform_query(p, segment.grid) for p in prepared_queries
+                    ]
+                per_segment.append(engine.query_batch(query_sets, k=k))
                 # The engine picks one kernel per batch; it is recorded on
                 # the plan for diagnostics (``sts3 inspect``, tests).
                 kernels = engine.last_kernels
-                return results, (kernels[-1] if kernels else None)
-
-            per_segment: list[list[QueryResult]] = [[] for _ in segments]
-            for (position, _, lo, _), (results, kernel) in zip(
-                tasks, map_ordered(run_task, tasks, workers)
-            ):
-                per_segment[position].extend(results)
-                if lo == 0:  # the first shard's kernel is the diagnostic
-                    plans[position] = replace(plans[position], kernel=kernel)
+                plans[position] = replace(
+                    plan, kernel=kernels[-1] if kernels else None
+                )
             self.last_plans = plans
             quarantined = [q.name for q in snapshot.quarantined]
             if not quarantined and len(segments) == 1 and not (
@@ -380,13 +325,6 @@ class QueryPlanner:
             for result in merged if quarantined else ():
                 self._mark_degraded(result, quarantined, {"quarantine"})
             return merged
-
-    def _shard_workspace(self) -> QueryWorkspace:
-        """This executor thread's private (reused) workspace."""
-        workspace = getattr(self._worker_local, "workspace", None)
-        if workspace is None:
-            workspace = self._worker_local.workspace = QueryWorkspace()
-        return workspace
 
     def _run_segment(
         self,

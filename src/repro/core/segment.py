@@ -124,10 +124,11 @@ class Segment:
         #: CRC32 of the archive payload this segment was restored from
         #: (format v4 loads only); None for segments built in memory.
         self.payload_crc32: int | None = None
-        # Guards lazy materialization and searcher construction when
-        # the planner fans segment plans out across threads.  Reentrant
-        # because building a searcher touches sets/bitset under the
-        # same lock.
+        # Guards lazy materialization, searcher construction and
+        # release against the races that remain: the maintenance
+        # thread's merge and eviction against the engine thread, and
+        # concurrent direct callers of one database.  Reentrant because
+        # building a searcher touches sets/bitset under the same lock.
         self._lock = threading.RLock()
 
     @classmethod

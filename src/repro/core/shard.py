@@ -189,14 +189,6 @@ class _WorkerHandle:
         self.n_series = n_series
 
 
-class _PlannerShim:
-    """Duck-typed stand-in for ``db.planner`` (the serving layer reads
-    ``db.planner.clock`` to anchor arrival-time deadlines)."""
-
-    def __init__(self):
-        self.clock = time.monotonic
-
-
 class ShardedDatabase:
     """Scatter-gather k-NN over N shard worker processes.
 
@@ -253,7 +245,10 @@ class ShardedDatabase:
         #: trade the per-insert fsync for the single-process engine's
         #: batched-cadence semantics.
         self.fsync_batch = int(fsync_batch)
-        self.planner = _PlannerShim()
+        #: monotonic-seconds clock for deadline accounting, the same
+        #: surface as ``STS3Database.clock``: the serving layer stamps
+        #: request arrival with it.
+        self.clock = time.monotonic
         self.maintenance = None
         self._workers: list[_WorkerHandle | None] = [None] * self.n_shards
         #: highest WAL seq each primary has acknowledged — the yardstick
@@ -796,7 +791,7 @@ class ShardedDatabase:
         ]
         remaining_ms = deadline_ms
         if deadline_ms is not None and deadline_start is not None:
-            elapsed = (self.planner.clock() - deadline_start) * 1000.0
+            elapsed = (self.clock() - deadline_start) * 1000.0
             remaining_ms = max(deadline_ms - elapsed, 0.0)
         header = {
             "op": "query",

@@ -318,21 +318,13 @@ class _Worker:
         # never an insert).
         if db.wal is not None:
             db.wal.append("note", id=series_id)
-        buffered_before = len(db.buffer)
-        rebuilds_before = db.rebuild_count
-        db._insert_prepared(prepared)
-        if len(db.buffer) == buffered_before + 1:
-            path, sealed = "buffered", False
-        elif db.rebuild_count > rebuilds_before:
-            path, sealed = "buffered", True
-        else:
-            path, sealed = "direct", False
-        self.table.insert(series_id, path, sealed)
+        report = db._insert_prepared(prepared)
+        self.table.insert(series_id, report["path"], report["sealed_segment"])
         return {
             "op": "ack",
             "id": series_id,
-            "path": path,
-            "sealed_segment": sealed,
+            "path": report["path"],
+            "sealed_segment": report["sealed_segment"],
             **self.status(),
         }
 

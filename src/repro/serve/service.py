@@ -27,12 +27,12 @@ about (DESIGN.md §14):
 All engine work runs on a single dedicated executor thread: the
 engine's mutable surfaces (workspace scratch, update buffer, caches)
 are not thread-safe, and one thread serializes them by construction
-while numpy kernels still release the GIL under it.  Intra-query
-parallelism is the engine's own ``max_workers`` lever (DESIGN.md §13),
-which composes with this design unchanged.
+while numpy kernels still release the GIL under it.  More cores come
+from serving a :class:`~repro.core.shard.ShardedDatabase` (one process
+per shard, DESIGN.md §16), which exposes the same engine surface.
 
 Deadlines are anchored at *arrival*: the service stamps each request
-with ``db.planner.clock()`` on admission and passes the stamp through
+with ``db.clock()`` on admission and passes the stamp through
 ``deadline_start``, so time a request spends waiting behind the
 executor counts against its budget exactly like search time does —
 a queued request that blows its deadline degrades instead of returning
@@ -124,7 +124,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         #: wall clock for rate limiting and window ages — injectable so
         #: admission tests advance time deterministically.  Distinct
-        #: from ``db.planner.clock`` (the deadline ladder's clock).
+        #: from ``db.clock`` (the deadline ladder's clock).
         self.clock = time.monotonic
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sts3-engine"
@@ -243,7 +243,7 @@ class QueryService:
                 # Personal budget, already ticking: bypass the window
                 # and anchor the ladder at arrival so executor queue
                 # wait burns budget too.
-                arrival = self.db.planner.clock()
+                arrival = self.db.clock()
                 return await self._run_engine(
                     self.db.query, series, k=k, method=method, scale=scale,
                     max_scale=max_scale, deadline_ms=deadline_ms,
@@ -284,7 +284,7 @@ class QueryService:
         status = "ok"
         try:
             arrival = (
-                self.db.planner.clock() if deadline_ms is not None else None
+                self.db.clock() if deadline_ms is not None else None
             )
             return await self._run_engine(
                 self.db.query_batch, queries, k=k, method=method, scale=scale,
@@ -307,32 +307,14 @@ class QueryService:
         ``"direct"`` (in-bound, extended the newest segment) or
         ``"buffered"`` (out-of-bound, via the lazy buffer), and
         ``sealed_segment`` flags an insert whose buffer fill sealed a
-        new segment.  A sharded engine classifies its own inserts (the
-        shard worker observed the path) and its reply adds ``id`` and
-        ``shard``; the single-process path keeps the before/after
-        observation below.
+        new segment.  The engine's own ``insert`` report is the reply; a
+        sharded engine's adds ``id`` and ``shard``.
         """
         self._admit("insert", client)
         started = self._begin("insert")
         status = "ok"
         try:
-            if not hasattr(self.db, "catalog"):
-                report = await self._run_engine(self.db.insert, series)
-                return report
-            segments_before = len(self.db.catalog.segments)
-            buffered_before = len(self.db.buffer)
-            await self._run_engine(self.db.insert, series)
-            sealed = len(self.db.catalog.segments) > segments_before
-            return {
-                "n_series": len(self.db),
-                "buffered": len(self.db.buffer),
-                "path": (
-                    "buffered"
-                    if sealed or len(self.db.buffer) > buffered_before
-                    else "direct"
-                ),
-                "sealed_segment": sealed,
-            }
+            return await self._run_engine(self.db.insert, series)
         except ServeError as exc:
             status = exc.code
             raise

@@ -65,12 +65,16 @@ class TestDatabaseBatchParity:
         batch = db.query_batch(queries, k=k, method="index")
         _assert_identical(scalar, batch)
 
-    @pytest.mark.parametrize("max_workers", [None, 1, 2, 3])
-    def test_matches_scalar_loop_any_workers(self, workload, max_workers):
+    # Every database answers in the caller's thread, so the only worker
+    # setting left is none at all: a database built and queried with its
+    # defaults (method None leaves ``"auto"`` to pick the variant).
+    @pytest.mark.parametrize("method", [None])
+    def test_matches_scalar_loop_any_workers(self, workload, method):
         database, queries = workload
-        db = STS3Database(database, sigma=4, epsilon=0.5, max_workers=max_workers)
-        scalar = [db.query(q, k=3, method="index") for q in queries]
-        batch = db.query_batch(queries, k=3, method="index")
+        db = STS3Database(database, sigma=4, epsilon=0.5)
+        kwargs = {} if method is None else {"method": method}
+        scalar = [db.query(q, k=3, **kwargs) for q in queries]
+        batch = db.query_batch(queries, k=3, **kwargs)
         _assert_identical(scalar, batch)
 
     def test_duplicate_queries_get_duplicate_answers(self, workload):

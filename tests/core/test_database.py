@@ -161,6 +161,24 @@ class TestInsert:
         assert provisional == flushed
         assert db.query(spike, k=1).best.similarity == 1.0
 
+    def test_insert_reports_where_the_series_landed(self):
+        db, _, _ = _make_db(normalize=False, buffer_capacity=2)
+        assert db.insert(np.zeros(64)) == {
+            "n_series": 41, "buffered": 0, "path": "direct",
+            "sealed_segment": False,
+        }
+        spikes = [np.zeros(64), np.zeros(64)]
+        spikes[0][3], spikes[1][4] = 100.0, 101.0
+        assert db.insert(spikes[0]) == {
+            "n_series": 42, "buffered": 1, "path": "buffered",
+            "sealed_segment": False,
+        }
+        assert db.insert(spikes[1]) == {  # fills the buffer: sealed
+            "n_series": 43, "buffered": 0, "path": "buffered",
+            "sealed_segment": True,
+        }
+        assert len(db.catalog.segments) == 2
+
     def test_flush_noop_when_empty(self):
         db, _, _ = _make_db()
         db.flush()

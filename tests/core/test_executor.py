@@ -1,27 +1,15 @@
-"""Worker-count resolution and fork hygiene for the shared thread pools.
+"""The CPU count benchmarks and reports record.
 
-``resolve_workers`` is the single knob-decoding point for every
-parallel path (planner fan-out, shard workers, CLI ``--workers``), so
-its contract — affinity-aware ``0``, ``STS3_MAX_WORKERS`` cap,
-validation — is pinned here.  The fork-hygiene tests cover what the
-sharded engine depends on: a forked worker process must not inherit a
-parent thread pool that has no threads behind it.
+``available_cpu_count`` must follow the process's affinity mask, not
+the machine: under a pinned or cgroup-limited container the machine
+count oversubscribes.
 """
 
 import os
-import threading
 
 import pytest
 
-from repro.core.executor import (
-    MAX_WORKERS_ENV,
-    ExecutorPool,
-    _pools,
-    _reset_pools_after_fork,
-    available_cpu_count,
-    get_pool,
-    resolve_workers,
-)
+from repro.core.executor import available_cpu_count
 
 
 class TestAvailableCpuCount:
@@ -35,79 +23,3 @@ class TestAvailableCpuCount:
 
     def test_never_above_machine_count(self):
         assert available_cpu_count() <= (os.cpu_count() or 1)
-
-
-class TestEnvCap:
-    def test_cap_applies_to_explicit_counts(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "2")
-        assert resolve_workers(8) == 2
-
-    def test_cap_applies_to_zero(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "1")
-        assert resolve_workers(0) == 1
-
-    def test_cap_never_raises_the_request(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "64")
-        assert resolve_workers(3) == 3
-
-    def test_serial_default_ignores_cap(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "4")
-        assert resolve_workers(None) == 1
-
-    def test_blank_env_is_unset(self, monkeypatch):
-        monkeypatch.setenv(MAX_WORKERS_ENV, "  ")
-        assert resolve_workers(5) == 5
-
-    @pytest.mark.parametrize("bad", ["zero", "0", "-3", "1.5"])
-    def test_invalid_cap_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(MAX_WORKERS_ENV, bad)
-        with pytest.raises(ValueError):
-            resolve_workers(4)
-
-
-class TestForkHygiene:
-    def test_reset_drops_started_executor(self):
-        pool = ExecutorPool(2)
-        assert pool.map_ordered(lambda x: x * x, [1, 2, 3]) == [1, 4, 9]
-        assert pool._executor is not None
-        old_lock = pool._lock
-        pool._reset_after_fork()
-        assert pool._executor is None
-        assert pool._lock is not old_lock
-        # the pool restarts cleanly after the reset
-        assert pool.map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]
-        pool.shutdown()
-
-    def test_registry_reset_covers_every_pool(self):
-        pool = get_pool(3)
-        pool.map_ordered(lambda x: x, [1])
-        _reset_pools_after_fork()
-        assert all(p._executor is None for p in _pools.values())
-        # identity is preserved — the registry is reset, not rebuilt
-        assert get_pool(3) is pool
-
-    def test_forked_child_can_run_pool_work(self):
-        if not hasattr(os, "fork"):
-            pytest.skip("platform has no fork")
-        pool = get_pool(2)
-        pool.map_ordered(lambda x: x, [1])  # start threads pre-fork
-        read_fd, write_fd = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # pragma: no cover - child process
-            status = 1
-            try:
-                child_pool = get_pool(2)
-                if child_pool._executor is None:  # at-fork hook fired
-                    result = child_pool.map_ordered(lambda x: x * 2, [21])
-                    if result == [42]:
-                        status = 0
-            finally:
-                os.write(write_fd, bytes([status]))
-                os._exit(status)
-        os.close(write_fd)
-        try:
-            verdict = os.read(read_fd, 1)
-        finally:
-            os.close(read_fd)
-            os.waitpid(pid, 0)
-        assert verdict == b"\x00"

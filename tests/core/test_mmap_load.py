@@ -84,9 +84,7 @@ class TestMappedEquivalence:
 
     def test_loader_knobs_apply(self, archive):
         path, _, _ = archive
-        mapped = load_database(path, mmap=True, max_workers=2,
-                               cache_bytes=1 << 16)
-        assert mapped.max_workers == 2
+        mapped = load_database(path, mmap=True, cache_bytes=1 << 16)
         assert mapped.result_cache is not None
         assert mapped.result_cache.capacity_bytes == 1 << 16
 

@@ -77,12 +77,10 @@ class TestCompactMatchesScratch:
         assert _answers(db, queries, method) == _answers(scratch, queries, method)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("max_workers", [None, 2])
-    def test_query_batch_parity(self, seed, max_workers):
+    def test_query_batch_parity(self, seed):
         base, extras, queries = _workload(seed)
         db = STS3Database(
             base, sigma=2, epsilon=0.4, normalize=False, buffer_capacity=3,
-            max_workers=max_workers,
         )
         for series in extras:
             db.insert(series)

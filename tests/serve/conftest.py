@@ -50,7 +50,7 @@ def make_multiseg_db() -> tuple[STS3Database, np.ndarray]:
     """A three-segment database + query, for deadline-ladder scenarios.
 
     Mirrors the degraded-query fixture: a large bootstrap segment plus
-    two sealed deltas, so the ladder has segments to downgrade/skip.
+    two sealed deltas, so the ladder has segments to skip.
     """
     from repro.core.planner import SMALL_SEGMENT
 

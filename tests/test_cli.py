@@ -234,7 +234,7 @@ class TestCommands:
 class TestBench:
     def test_bench_defaults(self):
         args = build_parser().parse_args(["bench"])
-        assert args.levers == "parallel,mmap,cache,combined"
+        assert args.levers == "mmap,cache,combined"
         assert args.repeats == 3
 
     def test_bench_runs_and_prints_table(self, capsys):
@@ -272,7 +272,6 @@ class TestServe:
         assert args.coalesce_ms == 2.0
         assert args.max_pending == 256
         assert args.rate is None
-        assert args.max_workers is None
         assert args.cache_bytes == 0
 
     def test_serve_accepts_every_knob(self):
@@ -280,12 +279,23 @@ class TestServe:
             "serve", "data.sts3", "--host", "0.0.0.0", "--port", "0",
             "--http-port", "-1", "--coalesce-ms", "5", "--max-coalesce",
             "16", "--max-pending", "8", "--rate", "100", "--burst", "10",
-            "--max-workers", "2", "--cache-bytes", "1048576",
+            "--cache-bytes", "1048576",
         ])
         assert args.file == "data.sts3"
         assert args.http_port == -1
         assert args.rate == 100.0
-        assert args.max_workers == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--max-workers", "2"],
+        ["bench", "--workers", "2"],
+    ], ids=["serve", "bench"])
+    def test_thread_fanout_flags_are_gone(self, argv, capsys):
+        # More cores come from ``--shards``; a thread-count flag must
+        # fail loudly rather than be silently ignored.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_serve_build_db_synthetic(self):
         from repro.cli import _serve_build_db
