@@ -9,10 +9,11 @@ server's request coalescing.
 
 Two phases over identical workloads:
 
-- **serial** — ``coalesce_window_ms=0``: every request dispatches on
-  its own through the engine thread (per-request scalar execution),
-- **coalesced** — a micro-batching window gathers concurrent requests
-  into one vectorized ``query_batch`` tile per signature.
+- **serial** — ``max_coalesce=1``: every request dispatches on its
+  own through the engine thread (per-request scalar execution),
+- **coalesced** — ``max_coalesce=clients``: requests that queue behind
+  the busy engine leave together as one vectorized ``query_batch``
+  tile per signature (group commit; no timer).
 
 The speedup is the whole point of the serving-layer design: on a
 single core it comes purely from batch-kernel amortization (shared
@@ -67,8 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--repeats", type=int, default=3,
                         help="timed repetitions per phase; best (min) kept")
-    parser.add_argument("--coalesce-ms", type=float, default=10.0,
-                        help="window of the coalesced phase")
     parser.add_argument("--method", default="index")
     parser.add_argument("--min-coalesce-speedup", type=float, default=None,
                         help="fail (exit 1) below this coalesced-vs-serial "
@@ -190,7 +189,7 @@ def append_trajectory(record: dict, args, path: Path) -> None:
             "coalesced_queries_per_second": record[
                 "coalesced_queries_per_second"
             ],
-            "coalesce_window_ms": args.coalesce_ms,
+            "max_coalesce": args.clients,
             "identical_neighbor_lists": record["identical_neighbor_lists"],
         },
     })
@@ -226,13 +225,12 @@ def main(argv=None) -> int:
     ]
 
     serial_seconds, serial_results = run_phase(
-        db, ServiceConfig(coalesce_window_ms=0.0, max_pending=4096),
+        db, ServiceConfig(max_coalesce=1, max_pending=4096),
         client_queries, args.k, args.method, args.repeats,
     )
     coalesced_seconds, coalesced_results = run_phase(
         db,
-        ServiceConfig(coalesce_window_ms=args.coalesce_ms,
-                      max_coalesce=args.clients, max_pending=4096),
+        ServiceConfig(max_coalesce=args.clients, max_pending=4096),
         client_queries, args.k, args.method, args.repeats,
     )
 
@@ -243,7 +241,7 @@ def main(argv=None) -> int:
         "n_clients": args.clients,
         "rounds": args.rounds,
         "total_queries": total_queries,
-        "coalesce_window_ms": args.coalesce_ms,
+        "max_coalesce": args.clients,
         "serial_seconds": round(serial_seconds, 6),
         "coalesced_seconds": round(coalesced_seconds, 6),
         "serial_queries_per_second": round(

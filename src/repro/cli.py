@@ -191,11 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary-protocol port (0 = ephemeral)")
     serve.add_argument("--http-port", type=int, default=21336,
                        help="HTTP adapter port (0 = ephemeral, -1 = disable)")
-    serve.add_argument("--coalesce-ms", type=float, default=2.0,
-                       help="micro-batching window for concurrent single "
-                            "queries (0 disables coalescing)")
     serve.add_argument("--max-coalesce", type=int, default=64,
-                       help="flush a window early at this many queries")
+                       help="most single queries that queue behind a busy "
+                            "engine run as one batch (1 disables "
+                            "coalescing)")
     serve.add_argument("--max-pending", type=int, default=256,
                        help="shed load (BUSY) past this many in-flight "
                             "requests")
@@ -1038,7 +1037,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: cannot serve {args.file}: {exc}", file=sys.stderr)
         return 2
     config = ServiceConfig(
-        coalesce_window_ms=args.coalesce_ms,
         max_coalesce=args.max_coalesce,
         max_pending=args.max_pending,
         rate_limit=args.rate,

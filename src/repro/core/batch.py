@@ -236,7 +236,7 @@ class BatchQueryEngine:
         # Batch-width distribution: count = engine invocations, sum =
         # queries.  The serving layer's request coalescer reads this as
         # its effectiveness signal — how many concurrent single queries
-        # each micro-batching window actually amortized into one pass
+        # each coalescing window actually amortized into one pass
         # (docs/serving.md); size-bucketed, not latency-bucketed.
         get_registry().histogram(
             "sts3_batch_engine_queries",

@@ -6,23 +6,28 @@ application) and one :class:`~repro.core.database.STS3Database`.  It
 owns three serving-side behaviours the engine itself should not know
 about (DESIGN.md §14):
 
-- **Request coalescing.**  Concurrent single queries that share every
-  answer-affecting parameter are gathered for up to
-  ``coalesce_window_ms`` and executed as *one*
-  ``STS3Database.query_batch`` call — one pass of the vectorized
-  batch kernel instead of N scalar searches.  The batch engine is
-  bit-identical to the scalar path by contract, so coalescing is
-  invisible in the answers and only visible in the throughput (and in
-  ``sts3_server_window_queries``).  Deadline-bounded requests bypass
-  the window: their budget is personal and already ticking.
+- **Request coalescing (group commit).**  A single query that finds
+  the engine idle runs at once — nothing waits on a timer.  Queries
+  that arrive while the engine is busy queue, grouped by every
+  answer-affecting parameter, and the oldest group becomes the next
+  *window* (at most ``max_coalesce`` queries) the moment the engine
+  frees up: one ``STS3Database.query_batch`` call, one pass of the
+  vectorized batch kernel instead of N scalar searches.  Windows are
+  served FIFO across signatures, so no signature starves.  The batch
+  engine is bit-identical to the scalar path by contract, so
+  coalescing is invisible in the answers and only visible in the
+  throughput (and in ``sts3_server_window_queries``).
+  Deadline-bounded requests and explicit batches bypass the windows:
+  a deadline budget is personal and already ticking, and a batch is
+  already coalesced.
 - **Admission control.**  A bounded in-flight count sheds load with
   ``BUSY`` *before* work is queued (the client can back off; a queue
   that accepts everything just converts overload into latency), and an
   optional per-client token bucket turns one chatty client away with
   ``RATE_LIMITED`` before it starves the rest.
-- **Graceful drain.**  ``drain()`` stops admitting, flushes any open
-  coalescing window immediately, and waits for in-flight work — so a
-  deploy never answers a request with a torn connection.
+- **Graceful drain.**  ``drain()`` stops admitting and waits for
+  in-flight work, queued windows included — so a deploy never answers
+  a request with a torn connection.
 
 All engine work runs on a single dedicated executor thread: the
 engine's mutable surfaces (workspace scratch, update buffer, caches)
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -55,25 +61,35 @@ from .protocol import ServeError
 __all__ = ["ServiceConfig", "QueryService"]
 
 #: histogram buckets for coalescing-window occupancy (queries, not
-#: seconds) and request latency respectively.
+#: seconds).
 _WINDOW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+#: Event-loop turns the dispatcher may wait, after answering a window,
+#: for that window's callers to come back before it cuts the next: one
+#: for them to write their answers, one to poll the sockets, one to
+#: parse what came back, one for those requests to reach the queue and
+#: one so they are queued before the cut.  It stops waiting as soon as
+#: the queue is as wide as the answered window, so a closed-loop client
+#: fleet comes back as one window rather than a wide one plus
+#: stragglers, while a queue that is already deep is served at once.
+#: Turns, not time: when nobody is coming back they pass in
+#: microseconds.
+_SETTLE_TURNS = 5
 
 
 @dataclass
 class ServiceConfig:
     """Knobs of the serving layer (``sts3 serve`` flags map 1:1).
 
-    ``coalesce_window_ms=0`` disables micro-batching entirely — every
-    request dispatches on its own (the serial baseline the serving
-    benchmark compares against).  ``rate_limit=None`` disables
+    ``max_coalesce=1`` disables coalescing entirely — every request
+    dispatches on its own (the serial baseline the serving benchmark
+    compares against).  ``rate_limit=None`` disables
     per-client rate limiting; otherwise each client identity earns
     ``rate_limit`` request tokens per second up to a burst ceiling of
     ``rate_burst`` (a batch of N queries costs N tokens).
     """
 
-    #: how long the first query of a window waits for company (ms).
-    coalesce_window_ms: float = 2.0
-    #: flush a window early once it holds this many queries.
+    #: most queries one window hands the batch engine; 1 = never batch.
     max_coalesce: int = 64
     #: refuse new requests past this many in flight (queued + running).
     max_pending: int = 256
@@ -104,16 +120,13 @@ class _TokenBucket:
 
 
 class _Window:
-    """One open coalescing window: queries awaiting a shared batch."""
+    """Queries of one signature waiting for the engine as one batch."""
 
-    __slots__ = ("signature", "items", "handle", "closed", "opened_at")
+    __slots__ = ("signature", "items")
 
-    def __init__(self, signature: tuple, opened_at: float):
+    def __init__(self, signature: tuple):
         self.signature = signature
         self.items: list[tuple[np.ndarray, asyncio.Future]] = []
-        self.handle: asyncio.TimerHandle | None = None
-        self.closed = False
-        self.opened_at = opened_at
 
 
 class QueryService:
@@ -122,14 +135,21 @@ class QueryService:
     def __init__(self, db: STS3Database, config: ServiceConfig | None = None):
         self.db = db
         self.config = config or ServiceConfig()
-        #: wall clock for rate limiting and window ages — injectable so
-        #: admission tests advance time deterministically.  Distinct
-        #: from ``db.clock`` (the deadline ladder's clock).
+        #: wall clock for rate limiting and the drain deadline —
+        #: injectable so admission tests advance time deterministically.
+        #: Distinct from ``db.clock`` (the deadline ladder's clock).
         self.clock = time.monotonic
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="sts3-engine"
         )
-        self._windows: dict[tuple, _Window] = {}
+        #: windows waiting for the engine, oldest first, and the newest
+        #: not-yet-full one per signature (the one a new query joins).
+        self._queue: deque[_Window] = deque()
+        self._open: dict[tuple, _Window] = {}
+        #: engine calls submitted and not yet returned, and whether a
+        #: window is running or still settling (see ``_SETTLE_TURNS``).
+        self._engine_jobs = 0
+        self._window_in_flight = False
         self._buckets: dict[str, _TokenBucket] = {}
         self._pending = 0
         self._draining = False
@@ -204,12 +224,27 @@ class QueryService:
             "sts3_server_request_seconds", "request latency from admission"
         ).observe(time.perf_counter() - started, op=op)
 
-    async def _run_engine(self, fn, *args, **kwargs):
-        """Run blocking engine work on the dedicated engine thread."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
+    def _run_engine(self, fn, *args, **kwargs) -> asyncio.Future:
+        """Submit blocking engine work to the dedicated engine thread.
+
+        Returns an awaitable future.  Submission is immediate, so the
+        engine thread runs work in the order it was submitted, and work
+        submitted here never overtakes a window that was already
+        queued: the oldest one is handed to the engine first.  Windows
+        queue while any engine work is in flight; when it returns, the
+        dispatcher may cut the next one.
+        """
+        self._start_window()  # a no-op for a window's own engine call
+        future = asyncio.get_running_loop().run_in_executor(
             self._executor, lambda: fn(*args, **kwargs)
         )
+        self._engine_jobs += 1
+        future.add_done_callback(self._engine_done)
+        return future
+
+    def _engine_done(self, _future: asyncio.Future) -> None:
+        self._engine_jobs -= 1
+        self._dispatch()
 
     def _track(self, coro) -> asyncio.Task:
         task = asyncio.get_running_loop().create_task(coro)
@@ -229,11 +264,11 @@ class QueryService:
         deadline_ms: float | None = None,
         client: str = "local",
     ):
-        """One k-NN query; coalesces with concurrent compatible ones.
+        """One k-NN query; coalesces with compatible queued ones.
 
         Bit-identical to ``db.query(...)`` with the same arguments —
-        the coalescing path runs through ``db.query_batch``, whose
-        parity with scalar calls the engine already guarantees.
+        a wide window runs through ``db.query_batch``, whose parity
+        with scalar calls the engine already guarantees.
         """
         self._admit("query", client)
         started = self._begin("query")
@@ -249,7 +284,7 @@ class QueryService:
                     max_scale=max_scale, deadline_ms=deadline_ms,
                     deadline_start=arrival,
                 )
-            if self.config.coalesce_window_ms <= 0:
+            if self.config.max_coalesce <= 1:
                 return await self._run_engine(
                     self.db.query, series, k=k, method=method, scale=scale,
                     max_scale=max_scale,
@@ -340,71 +375,87 @@ class QueryService:
     # -- coalescing ------------------------------------------------------
 
     async def _coalesce(self, series: np.ndarray, signature: tuple):
-        """Join (or open) the window for ``signature``; await its batch."""
-        loop = asyncio.get_running_loop()
-        window = self._windows.get(signature)
-        if window is None or window.closed:
-            window = _Window(signature, self.clock())
-            self._windows[signature] = window
-            window.handle = loop.call_later(
-                self.config.coalesce_window_ms / 1000.0,
-                self._flush_window,
-                window,
-            )
-        future: asyncio.Future = loop.create_future()
+        """Queue with ``signature``'s newest window; await the answer."""
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
+        window = self._open.get(signature)
+        if window is None:
+            window = self._open[signature] = _Window(signature)
+            self._queue.append(window)
         window.items.append((series, future))
         if len(window.items) >= self.config.max_coalesce:
-            self._flush_window(window)
+            del self._open[signature]  # full: the next query opens another
+        self._dispatch()
         return await future
 
-    def _flush_window(self, window: _Window) -> None:
-        """Close a window and hand its queries to the engine as one batch."""
-        if window.closed:
+    def _dispatch(self) -> None:
+        """Start the oldest queued window if the engine is idle."""
+        if not self._engine_jobs:
+            self._start_window()
+
+    def _start_window(self) -> None:
+        """Hand the oldest queued window to the engine unless one is in
+        flight (running or settling)."""
+        if self._window_in_flight or not self._queue:
             return
-        window.closed = True
-        if window.handle is not None:
-            window.handle.cancel()
-        if self._windows.get(window.signature) is window:
-            del self._windows[window.signature]
+        window = self._queue.popleft()
+        if self._open.get(window.signature) is window:
+            del self._open[window.signature]
+        self._window_in_flight = True
         get_registry().histogram(
             "sts3_server_window_queries",
-            "single queries coalesced per micro-batching window",
+            "single queries per coalescing window",
             buckets=_WINDOW_BUCKETS,
         ).observe(len(window.items))
-        self._track(self._run_window(window))
-
-    async def _run_window(self, window: _Window) -> None:
         queries = [series for series, _ in window.items]
         k, method, scale, max_scale = window.signature
+        if len(queries) == 1:
+            # A lonely window: the scalar path answers it with less
+            # fixed cost than a one-query batch pass.
+            call = self._run_engine(
+                self.db.query, queries[0], k=k, method=method, scale=scale,
+                max_scale=max_scale,
+            )
+        else:
+            call = self._run_engine(
+                self.db.query_batch, queries, k=k, method=method,
+                scale=scale, max_scale=max_scale,
+            )
+        self._track(self._answer_window(window, call))
+
+    async def _answer_window(
+        self, window: _Window, call: asyncio.Future
+    ) -> None:
+        """Fan one window's engine call out to its queries, then settle."""
         try:
-            with span("server.window", queries=len(queries), method=method):
-                if len(queries) == 1:
-                    # A lonely window: the scalar path answers it with
-                    # less fixed cost than a one-query batch pass.
-                    results = [
-                        await self._run_engine(
-                            self.db.query, queries[0], k=k, method=method,
-                            scale=scale, max_scale=max_scale,
-                        )
-                    ]
-                else:
-                    results = await self._run_engine(
-                        self.db.query_batch, queries, k=k, method=method,
-                        scale=scale, max_scale=max_scale,
-                    )
+            with span(
+                "server.window", queries=len(window.items),
+                method=window.signature[1],
+            ):
+                results = await call
         except BaseException as exc:  # noqa: BLE001 — fan the failure out
             for _, future in window.items:
                 if not future.done():
                     future.set_exception(exc)
-            return
-        for (_, future), result in zip(window.items, results):
-            if not future.done():
-                future.set_result(result)
+        else:
+            if len(window.items) == 1:
+                results = [results]
+            for (_, future), result in zip(window.items, results):
+                if not future.done():
+                    future.set_result(result)
+        try:
+            for _ in range(_SETTLE_TURNS):
+                queued = sum(len(w.items) for w in self._queue)
+                if queued >= len(window.items):
+                    break
+                await asyncio.sleep(0)
+        finally:
+            self._window_in_flight = False
+            self._dispatch()
 
     # -- lifecycle -------------------------------------------------------
 
     async def drain(self, grace_s: float | None = None) -> bool:
-        """Stop admitting, flush open windows, wait for in-flight work.
+        """Stop admitting, wait for in-flight work and queued windows.
 
         Returns True when everything in flight completed inside the
         grace period (config ``drain_grace_s`` unless overridden).
@@ -417,8 +468,6 @@ class QueryService:
         if engine is not None:
             engine.pause()
         with span("server.drain", pending=self._pending):
-            for window in list(self._windows.values()):
-                self._flush_window(window)
             deadline = self.clock() + (
                 self.config.drain_grace_s if grace_s is None else grace_s
             )

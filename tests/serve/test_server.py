@@ -13,6 +13,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,11 +30,12 @@ from repro.serve import (
 )
 
 from ..conftest import answer_hex
+from .conftest import park_engine
 
 
 @pytest.fixture
 def server(db):
-    with ServerThread(db, ServiceConfig(coalesce_window_ms=2.0)) as handle:
+    with ServerThread(db, ServiceConfig()) as handle:
         yield handle
 
 
@@ -115,15 +117,23 @@ class TestBinaryProtocol:
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
-        # The window closes on its n_clients-th query, never on the timer.
-        config = ServiceConfig(coalesce_window_ms=30_000.0, max_coalesce=n_clients)
-        with ServerThread(db, config) as server:
+        # The engine is parked until every client's query has queued
+        # behind it, so all of them leave as one window.
+        with ServerThread(db, ServiceConfig()) as server:
+            release, _ = server.submit(
+                park_engine(server.service)
+            ).result(timeout=10)
             threads = [
                 threading.Thread(target=worker, args=(i,))
                 for i in range(n_clients)
             ]
             for t in threads:
                 t.start()
+            deadline = time.monotonic() + 30
+            while (server.service.pending < n_clients
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            release.set()
             for t in threads:
                 t.join(timeout=30)
         assert not errors
@@ -132,6 +142,10 @@ class TestBinaryProtocol:
             "sts3_batch_engine_queries"
         ).series_snapshot()
         assert engine["sum"] == n_clients
+        windows = get_registry().histogram(
+            "sts3_server_window_queries"
+        ).series_snapshot()
+        assert windows["count"] == 1 and windows["sum"] == n_clients
 
     def test_batch_op(self, db, server, queries):
         direct = db.query_batch(list(queries[:5]), k=3, method="index")
@@ -316,9 +330,7 @@ class TestHttpAdapter:
         assert response.status == 404
 
     def test_rate_limit_maps_to_429(self, db):
-        config = ServiceConfig(
-            coalesce_window_ms=0.0, rate_limit=1.0, rate_burst=1
-        )
+        config = ServiceConfig(rate_limit=1.0, rate_burst=1)
         with ServerThread(db, config) as handle:
             handle.service.clock = lambda: 0.0  # bucket never refills
             body = {"series": [0.0, 1.0, 2.0, 1.0] * 8, "k": 1,

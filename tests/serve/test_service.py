@@ -1,8 +1,10 @@
 """QueryService behavior: coalescing parity, admission control, drain.
 
-The load-bearing contract (ISSUE acceptance): answers served through
-the coalescing path are *bit-identical* to direct ``db.query`` calls —
-including deadline-degraded and cache-hit answers.
+The load-bearing contract: answers served through the coalescing path
+are *bit-identical* to direct ``db.query`` calls — including
+deadline-degraded and cache-hit answers.  Window shapes are made
+deterministic by parking the engine thread (``park_engine``), never by
+racing a timer.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.obs import get_registry
 from repro.serve import QueryService, ServeError, ServiceConfig
 
 from ..conftest import ticking_clock
+from .conftest import park_engine
 
 
 def run(coro):
@@ -39,16 +42,26 @@ def window_snapshot():
     return get_registry().histogram("sts3_server_window_queries").series_snapshot()
 
 
+async def answer_behind_parked_engine(service, calls):
+    """Queue ``calls`` behind a parked engine, release it, gather them."""
+    release, parked = await park_engine(service)
+    pending = [asyncio.ensure_future(call) for call in calls]
+    await asyncio.sleep(0)  # every call is queued behind the busy engine
+    release.set()
+    await parked
+    return await asyncio.gather(*pending)
+
+
 class TestCoalescing:
     def test_concurrent_queries_share_one_window(self, db, queries):
         direct = [db.query(q, k=5, method="index") for q in queries]
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=100.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
-                return await asyncio.gather(
-                    *(service.query(q, k=5, method="index") for q in queries)
-                )
+                return await answer_behind_parked_engine(service, (
+                    service.query(q, k=5, method="index") for q in queries
+                ))
             finally:
                 await service.drain()
                 service.close()
@@ -64,13 +77,13 @@ class TestCoalescing:
     def test_mixed_signatures_split_into_windows(self, db, queries):
         direct_k3 = [db.query(q, k=3, method="index") for q in queries[:4]]
         direct_k7 = [db.query(q, k=7, method="index") for q in queries[4:8]]
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=100.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
                 k3 = [service.query(q, k=3, method="index") for q in queries[:4]]
                 k7 = [service.query(q, k=7, method="index") for q in queries[4:8]]
-                return await asyncio.gather(*k3, *k7)
+                return await answer_behind_parked_engine(service, k3 + k7)
             finally:
                 await service.drain()
                 service.close()
@@ -83,7 +96,7 @@ class TestCoalescing:
 
     def test_lone_query_uses_scalar_path(self, db, queries):
         direct = db.query(queries[0], k=5, method="index")
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=5.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
@@ -95,23 +108,38 @@ class TestCoalescing:
         assert_same_result(run(scenario()), direct)
         windows = window_snapshot()
         assert windows["count"] == 1 and windows["sum"] == 1
+        engine = get_registry().histogram("sts3_batch_engine_queries")
+        assert engine.series_snapshot()["count"] == 0
+
+    def test_lone_query_on_idle_engine_arms_no_timer(self, db, queries):
+        # Nobody else is coming: the query must run at once, not wait
+        # for a window to time out.
+        direct = db.query(queries[0], k=5, method="index")
+        service = QueryService(db)
+
+        def no_timers(*args, **kwargs):
+            raise AssertionError("a served query armed a timer")
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.call_later = loop.call_at = no_timers
+            try:
+                return await service.query(queries[0], k=5, method="index")
+            finally:
+                del loop.call_later, loop.call_at
+                await service.drain()
+                service.close()
+
+        assert_same_result(run(scenario()), direct)
 
     def test_max_coalesce_flushes_early(self, db, queries):
-        service = QueryService(
-            db, ServiceConfig(coalesce_window_ms=10_000.0, max_coalesce=4)
-        )
+        service = QueryService(db, ServiceConfig(max_coalesce=4))
 
         async def scenario():
             try:
-                # A window that would wait 10s flushes at 4 occupants,
-                # so this completes promptly.
-                return await asyncio.wait_for(
-                    asyncio.gather(
-                        *(service.query(q, k=5, method="index")
-                          for q in queries[:4])
-                    ),
-                    timeout=5.0,
-                )
+                return await answer_behind_parked_engine(service, (
+                    service.query(q, k=5, method="index") for q in queries[:4]
+                ))
             finally:
                 await service.drain(grace_s=5.0)
                 service.close()
@@ -120,23 +148,184 @@ class TestCoalescing:
         assert len(served) == 4
         assert window_snapshot()["sum"] == 4
 
-    def test_window_disabled_still_parity(self, db, queries):
-        direct = [db.query(q, k=5, method="index") for q in queries[:3]]
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=0.0))
+    def test_queue_splits_at_max_coalesce(self, db, queries):
+        direct = [db.query(q, k=5, method="index") for q in queries[:6]]
+        service = QueryService(db, ServiceConfig(max_coalesce=4))
+        widths = []
+        batch = db.query_batch
+
+        def recording_batch(batch_queries, **kwargs):
+            widths.append(len(batch_queries))
+            return batch(batch_queries, **kwargs)
+
+        db.query_batch = recording_batch
 
         async def scenario():
             try:
-                return await asyncio.gather(
-                    *(service.query(q, k=5, method="index")
-                      for q in queries[:3])
-                )
+                return await answer_behind_parked_engine(service, (
+                    service.query(q, k=5, method="index") for q in queries[:6]
+                ))
             finally:
                 await service.drain()
                 service.close()
 
         for s, d in zip(run(scenario()), direct):
             assert_same_result(s, d)
-        assert window_snapshot()["count"] == 0  # no windows opened
+        assert widths == [4, 2]  # oldest four first, the rest next
+        windows = window_snapshot()
+        assert windows["count"] == 2 and windows["sum"] == 6
+
+    def test_signatures_progress_under_sustained_load(self, db, queries):
+        # Three closed-loop k=3 clients keep a k=3 window queued at all
+        # times; a k=7 query that arrived behind them must still be
+        # served while they are busy, not after they stop.
+        direct_k7 = db.query(queries[11], k=7, method="index")
+        expected_k3 = {
+            i: db.query(q, k=3, method="index") for i, q in enumerate(queries)
+        }
+        service = QueryService(db, ServiceConfig(max_coalesce=2))
+        served_k = []  # the k of each engine call, in order
+        scalar, batch = db.query, db.query_batch
+
+        def recording_query(series, k, **kwargs):
+            served_k.append(k)
+            return scalar(series, k=k, **kwargs)
+
+        def recording_batch(batch_queries, k, **kwargs):
+            served_k.append(k)
+            return batch(batch_queries, k=k, **kwargs)
+
+        db.query, db.query_batch = recording_query, recording_batch
+
+        async def k3_client(first: int) -> int:
+            for step in range(6):
+                i = (first + step) % 11
+                served = await service.query(queries[i], k=3, method="index")
+                assert_same_result(served, expected_k3[i])
+            return first
+
+        async def scenario():
+            try:
+                release, parked = await park_engine(service)
+                clients = [
+                    asyncio.ensure_future(k3_client(i)) for i in range(3)
+                ]
+                await asyncio.sleep(0)
+                k7 = asyncio.ensure_future(
+                    service.query(queries[11], k=7, method="index")
+                )
+                await asyncio.sleep(0)
+                release.set()
+                await parked
+                served_k7 = await k7
+                clients_busy = not all(c.done() for c in clients)
+                await asyncio.gather(*clients)
+                return served_k7, clients_busy
+            finally:
+                await service.drain()
+                service.close()
+
+        served_k7, clients_busy = run(scenario())
+        assert_same_result(served_k7, direct_k7)
+        assert clients_busy
+        # FIFO: the k=7 window was queued third, so it runs third.
+        assert served_k[:3] == [3, 3, 7]
+        assert window_snapshot()["sum"] == 3 * 6 + 1
+
+    def test_failed_window_fails_only_its_own_queries(self, db, queries):
+        direct_k7 = [db.query(q, k=7, method="index") for q in queries[2:4]]
+        service = QueryService(db)
+        batch = db.query_batch
+
+        def failing_for_k3(batch_queries, k, **kwargs):
+            if k == 3:
+                raise RuntimeError("engine fault")
+            return batch(batch_queries, k=k, **kwargs)
+
+        db.query_batch = failing_for_k3
+
+        async def scenario():
+            try:
+                release, parked = await park_engine(service)
+                k3 = [service.query(q, k=3, method="index") for q in queries[:2]]
+                k7 = [service.query(q, k=7, method="index") for q in queries[2:4]]
+                pending = [asyncio.ensure_future(c) for c in k3 + k7]
+                await asyncio.sleep(0)
+                release.set()
+                await parked
+                # The dispatcher is not wedged: the k=7 window and a later
+                # query are still served.
+                outcomes = await asyncio.wait_for(
+                    asyncio.gather(*pending, return_exceptions=True), timeout=10
+                )
+                after = await asyncio.wait_for(
+                    service.query(queries[4], k=5, method="index"), timeout=10
+                )
+                return outcomes, after
+            finally:
+                await service.drain()
+                service.close()
+
+        outcomes, after = run(scenario())
+        for failed in outcomes[:2]:
+            assert isinstance(failed, RuntimeError)
+            assert str(failed) == "engine fault"
+        for s, d in zip(outcomes[2:], direct_k7):
+            assert_same_result(s, d)
+        assert_same_result(after, db.query(queries[4], k=5, method="index"))
+        assert window_snapshot()["count"] == 3
+
+    def test_later_engine_work_does_not_overtake_queued_windows(
+        self, db, queries
+    ):
+        # Windows wait for the busy engine, but an insert submitted after
+        # them must not jump the queue — or a stream of overlapping
+        # inserts would starve queued queries.
+        service = QueryService(db)
+        order = []
+        batch, insert = db.query_batch, db.insert
+
+        def recording_batch(batch_queries, **kwargs):
+            order.append("window")
+            return batch(batch_queries, **kwargs)
+
+        def recording_insert(series):
+            order.append("insert")
+            return insert(series)
+
+        db.query_batch, db.insert = recording_batch, recording_insert
+
+        async def scenario():
+            try:
+                await answer_behind_parked_engine(service, [
+                    service.query(queries[0], k=5, method="index"),
+                    service.query(queries[1], k=5, method="index"),
+                    service.insert(queries[2]),
+                ])
+            finally:
+                await service.drain()
+                service.close()
+
+        run(scenario())
+        assert order == ["window", "insert"]
+
+    def test_window_disabled_still_parity(self, db, queries):
+        direct = [db.query(q, k=5, method="index") for q in queries[:3]]
+        service = QueryService(db, ServiceConfig(max_coalesce=1))
+
+        async def scenario():
+            try:
+                return await answer_behind_parked_engine(service, (
+                    service.query(q, k=5, method="index") for q in queries[:3]
+                ))
+            finally:
+                await service.drain()
+                service.close()
+
+        for s, d in zip(run(scenario()), direct):
+            assert_same_result(s, d)
+        # Queued behind a busy engine, yet never batched.
+        assert window_snapshot()["count"] == 0
 
 
 class TestDeadlines:
@@ -152,7 +341,7 @@ class TestDeadlines:
         assert direct.complete is False  # the scenario really degrades
 
         db.planner.clock = ticking_clock(0.06)
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=100.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
@@ -198,7 +387,7 @@ class TestCacheHits:
         )
         direct = db.query(queries[0], k=5, method="index")  # warms the cache
         assert db.result_cache is not None
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=5.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
@@ -218,7 +407,7 @@ class TestCacheHits:
             workload.database, sigma=3, epsilon=0.5, cache_bytes=4 << 20
         )
         direct = [db.query(q, k=5, method="index") for q in queries[:4]]
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=100.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
@@ -236,19 +425,20 @@ class TestCacheHits:
 
 class TestAdmission:
     def test_busy_when_queue_full(self, db, queries):
-        service = QueryService(
-            db, ServiceConfig(coalesce_window_ms=10_000.0, max_pending=1)
-        )
+        service = QueryService(db, ServiceConfig(max_pending=1))
 
         async def scenario():
+            release, parked = await park_engine(service)
             first = asyncio.ensure_future(
                 service.query(queries[0], k=5, method="index")
             )
-            await asyncio.sleep(0)  # let it park in the open window
+            await asyncio.sleep(0)  # let it queue behind the busy engine
             with pytest.raises(ServeError) as excinfo:
                 await service.query(queries[1], k=5, method="index")
             assert excinfo.value.code == "BUSY"
-            await service.drain(grace_s=5.0)  # flushes the open window
+            release.set()
+            await parked
+            await service.drain(grace_s=5.0)
             await first
             service.close()
 
@@ -259,9 +449,7 @@ class TestAdmission:
     def test_rate_limit_per_client(self, db, queries):
         service = QueryService(
             db,
-            ServiceConfig(
-                coalesce_window_ms=0.0, rate_limit=1.0, rate_burst=2
-            ),
+            ServiceConfig(rate_limit=1.0, rate_burst=2),
         )
         service.clock = lambda: 0.0  # frozen: buckets never refill
 
@@ -285,9 +473,7 @@ class TestAdmission:
     def test_bucket_refills_with_time(self, db, queries):
         service = QueryService(
             db,
-            ServiceConfig(
-                coalesce_window_ms=0.0, rate_limit=10.0, rate_burst=1
-            ),
+            ServiceConfig(rate_limit=10.0, rate_burst=1),
         )
         clock = ticking_clock(0.5)  # 0.5 s between admissions
         service.clock = clock
@@ -306,9 +492,7 @@ class TestAdmission:
     def test_batch_costs_its_size_in_tokens(self, db, queries):
         service = QueryService(
             db,
-            ServiceConfig(
-                coalesce_window_ms=0.0, rate_limit=1.0, rate_burst=4
-            ),
+            ServiceConfig(rate_limit=1.0, rate_burst=4),
         )
         service.clock = lambda: 0.0
 
@@ -327,30 +511,34 @@ class TestAdmission:
 
 class TestDrain:
     def test_drain_flushes_open_windows(self, db, queries):
-        service = QueryService(
-            db, ServiceConfig(coalesce_window_ms=10_000.0)
-        )
+        service = QueryService(db)
 
         async def scenario():
-            parked = [
+            release, parked = await park_engine(service)
+            queued = [
                 asyncio.ensure_future(service.query(q, k=5, method="index"))
                 for q in queries[:3]
             ]
             await asyncio.sleep(0)
-            finished = await service.drain(grace_s=10.0)
-            assert finished is True
-            results = await asyncio.gather(*parked)
+            draining = asyncio.ensure_future(service.drain(grace_s=10.0))
+            await asyncio.sleep(0)
+            assert not draining.done()  # the queued window is in flight
+            release.set()
+            await parked
+            assert await draining is True
+            results = await asyncio.gather(*queued)
             service.close()
             return results
 
         results = run(scenario())
         assert len(results) == 3
+        assert window_snapshot()["count"] == 1
         direct = [db.query(q, k=5, method="index") for q in queries[:3]]
         for s, d in zip(results, direct):
             assert_same_result(s, d)
 
     def test_draining_rejects_new_work(self, db, queries):
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=0.0))
+        service = QueryService(db)
 
         async def scenario():
             await service.drain()
@@ -366,7 +554,7 @@ class TestDrain:
 
 class TestBookkeeping:
     def test_request_metrics(self, db, queries):
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=0.0))
+        service = QueryService(db)
 
         async def scenario():
             try:
@@ -387,7 +575,7 @@ class TestBookkeeping:
         assert get_registry().gauge("sts3_server_inflight").value() == 0
 
     def test_insert_reports_destination(self, db, queries):
-        service = QueryService(db, ServiceConfig(coalesce_window_ms=0.0))
+        service = QueryService(db)
 
         async def scenario():
             try:

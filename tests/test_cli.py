@@ -269,7 +269,7 @@ class TestServe:
         assert args.file is None
         assert args.port == 21335
         assert args.http_port == 21336
-        assert args.coalesce_ms == 2.0
+        assert args.max_coalesce == 64
         assert args.max_pending == 256
         assert args.rate is None
         assert args.cache_bytes == 0
@@ -277,7 +277,7 @@ class TestServe:
     def test_serve_accepts_every_knob(self):
         args = build_parser().parse_args([
             "serve", "data.sts3", "--host", "0.0.0.0", "--port", "0",
-            "--http-port", "-1", "--coalesce-ms", "5", "--max-coalesce",
+            "--http-port", "-1", "--max-coalesce",
             "16", "--max-pending", "8", "--rate", "100", "--burst", "10",
             "--cache-bytes", "1048576",
         ])
@@ -294,6 +294,14 @@ class TestServe:
         # fail loudly rather than be silently ignored.
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_coalescing_timer_flag_is_gone(self, capsys):
+        # A query that finds the engine idle runs at once; there is no
+        # window to size, so the old flag must fail loudly.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--coalesce-ms", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
