@@ -8,8 +8,8 @@ byte-identical neighbour lists, and records both throughputs in
 ``BENCH_batch_engine.json`` at the repository root.
 
 The same comparison is repeated with the workload cut into batches of
-1, 2 and 4 queries — the widths a sharded scalar query, a coalesced
-serving window and a striped replica slice hand the engine — and
+1, 2 and 4 queries — the widths a sharded scalar query and small
+coalesced serving windows hand the engine — and
 ``--min-speedup`` applies at each of them as well as at ``--queries``:
 "the engine is never slower than the loop" has to hold where the
 engine is actually called, not only at the width it was tuned at.

@@ -225,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="WAL-shipping followers per shard "
                             "(docs/replication.md); requires the sharded "
                             "engine (--shards or a sharded archive)")
-    serve.add_argument("--read-preference", default="primary",
-                       choices=("primary", "replica", "nearest"),
-                       help="read endpoint policy when replicas are "
-                            "configured (docs/replication.md)")
-    serve.add_argument("--max-replica-lag", type=int, default=0,
-                       metavar="RECORDS",
-                       help="bounded staleness: followers more than this "
-                            "many records behind are not read endpoints")
     serve.add_argument("--maintain", action="store_true",
                        help="run the background maintenance engine while "
                             "serving (docs/maintenance.md)")
@@ -918,13 +910,8 @@ def _serve_build_sharded(args: argparse.Namespace):
     from .core import shard_manifest_path
     from .core.shard import ShardedDatabase
 
-    replication = dict(
-        replicas=args.replicas or None,
-        read_preference=args.read_preference,
-        max_replica_lag=args.max_replica_lag,
-    )
     if args.file is not None and shard_manifest_path(args.file).exists():
-        db = ShardedDatabase.open(args.file, **replication)
+        db = ShardedDatabase.open(args.file, replicas=args.replicas or None)
         return db, f"sharded archive {args.file}", db.close
     if args.shards < 2:
         raise ValueError(f"--shards must be >= 2, got {args.shards}")
@@ -936,8 +923,6 @@ def _serve_build_sharded(args: argparse.Namespace):
             args.shards,
             Path(tmp.name) / "shards",
             replicas=args.replicas,
-            read_preference=args.read_preference,
-            max_replica_lag=args.max_replica_lag,
         )
     except BaseException:
         tmp.cleanup()
@@ -1013,18 +998,25 @@ def _cmd_replica_status(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
+    from .core import shard_manifest_path
     from .exceptions import DatasetError
     from .serve import ServiceConfig, serve as serve_forever
 
     cleanup = None
     sharded = args.shards > 0 or (
-        args.file is not None
-        and (Path(args.file) / "shard-manifest.json").exists()
+        args.file is not None and shard_manifest_path(args.file).exists()
     )
     if sharded and args.maintain:
         print(
             "error: --maintain runs inside each shard's own process and "
             "is not available with the sharded engine",
+            file=sys.stderr,
+        )
+        return 2
+    if args.replicas > 0 and not sharded:
+        print(
+            "error: --replicas needs the sharded engine "
+            "(--shards N or a sharded archive)",
             file=sys.stderr,
         )
         return 2

@@ -22,11 +22,6 @@ one worker loop in :mod:`repro.core.worker`:
   recovered primary), advances its ``applied_seq`` watermark, and
   persists the watermark in a sidecar
   (:func:`~repro.core.wal.write_applied_seq`).
-- Reads may be served from caught-up followers under a bounded-
-  staleness guard (``read_preference`` on
-  :class:`~repro.core.shard.ShardedDatabase`); the scatter-gather
-  merge is unchanged because a caught-up follower answers exactly like
-  its primary.
 - On primary death the supervisor **promotes** the freshest follower:
   the remaining intact frames on the dead primary's disk are shipped
   (an acknowledged write is fsynced, hence intact, hence shipped — no
@@ -321,7 +316,7 @@ class ReplicaSet:
         self._observe_lag(handle)
         return True
 
-    # -- staleness -------------------------------------------------------
+    # -- lag -------------------------------------------------------------
 
     def lag_records(self, handle: ReplicaHandle) -> int:
         primary = int(self.engine._primary_seq[handle.shard_id])
@@ -340,14 +335,6 @@ class ReplicaSet:
         self._g_lag_seconds.set(
             0.0 if lag == 0 else now - handle.caught_up_at, **labels
         )
-
-    def endpoints(self, shard_id: int, max_lag_records: int) -> list[ReplicaHandle]:
-        """Followers fresh enough to serve reads (bounded staleness)."""
-        return [
-            h
-            for h in self.live(shard_id)
-            if not h.partitioned and self.lag_records(h) <= max_lag_records
-        ]
 
     def freshest(self, shard_id: int) -> ReplicaHandle | None:
         """The promotion candidate: highest watermark wins, id breaks ties."""

@@ -211,8 +211,6 @@ class ShardedDatabase:
         fsync_batch: int = 1,
         start: bool = True,
         replicas: int | None = None,
-        read_preference: str = "primary",
-        max_replica_lag: int = 0,
     ):
         self.directory = Path(directory)
         self.manifest = manifest
@@ -226,19 +224,6 @@ class ShardedDatabase:
             self.n_shards, int(manifest["hash_seed"]), int(manifest["vnodes"])
         )
         self.rpc_timeout = float(rpc_timeout)
-        if read_preference not in ("primary", "replica", "nearest"):
-            raise ParameterError(
-                f"unknown read preference {read_preference!r}; "
-                "one of ('primary', 'replica', 'nearest')"
-            )
-        #: default endpoint policy for reads (docs/replication.md):
-        #: ``primary`` never touches followers; ``replica`` stripes the
-        #: batch across caught-up followers (primary only as fallback);
-        #: ``nearest`` stripes across primary and followers alike.
-        self.read_preference = read_preference
-        #: bounded staleness: a follower more than this many records
-        #: behind its primary is not an eligible read endpoint.
-        self.max_replica_lag = int(max_replica_lag)
         #: default 1 — a sharded insert is acknowledged only once its
         #: WAL records are fsynced, which is what makes the worker-kill
         #: contract ("no acked write lost") unconditional.  Raise it to
@@ -313,8 +298,6 @@ class ShardedDatabase:
         rpc_timeout: float = 30.0,
         fsync_batch: int = 1,
         replicas: int = 0,
-        read_preference: str = "primary",
-        max_replica_lag: int = 0,
     ) -> "ShardedDatabase":
         """Partition ``series`` into a sharded archive and open it.
 
@@ -400,8 +383,6 @@ class ShardedDatabase:
             manifest,
             rpc_timeout=rpc_timeout,
             fsync_batch=fsync_batch,
-            read_preference=read_preference,
-            max_replica_lag=max_replica_lag,
         )
 
     @classmethod
@@ -440,8 +421,6 @@ class ShardedDatabase:
         rpc_timeout: float = 30.0,
         fsync_batch: int = 1,
         replicas: int | None = None,
-        read_preference: str = "primary",
-        max_replica_lag: int = 0,
     ) -> "ShardedDatabase":
         """Open a sharded archive directory: spawn + recover every worker.
 
@@ -457,8 +436,6 @@ class ShardedDatabase:
             rpc_timeout=rpc_timeout,
             fsync_batch=fsync_batch,
             replicas=replicas,
-            read_preference=read_preference,
-            max_replica_lag=max_replica_lag,
         )
 
     @staticmethod
@@ -726,7 +703,6 @@ class ShardedDatabase:
         max_scale: int | None = None,
         deadline_ms: float | None = None,
         deadline_start: float | None = None,
-        read_preference: str | None = None,
     ) -> QueryResult:
         """Scatter one k-NN query to every shard and gather the merge.
 
@@ -741,7 +717,6 @@ class ShardedDatabase:
         return self.query_batch(
             [series], k=k, method=method, scale=scale, max_scale=max_scale,
             deadline_ms=deadline_ms, deadline_start=deadline_start,
-            read_preference=read_preference,
         )[0]
 
     def query_batch(
@@ -753,7 +728,6 @@ class ShardedDatabase:
         max_scale: int | None = None,
         deadline_ms: float | None = None,
         deadline_start: float | None = None,
-        read_preference: str | None = None,
     ) -> list[QueryResult]:
         """Scatter a query batch to all shards; gather per-query merges.
 
@@ -761,18 +735,8 @@ class ShardedDatabase:
         the whole batch over its partition (the vectorized index kernel
         where applicable) while the others do the same, so N shards cut
         wall-clock by ~N on CPU-bound batches — the lever
-        ``benchmarks/bench_shard.py`` gates.
-
-        ``read_preference`` (default: the engine's) widens the endpoint
-        set per shard: under ``replica``/``nearest`` the batch is
-        *striped* across that shard's caught-up endpoints (query ``i``
-        to endpoint ``i % E``), so followers add read throughput the
-        way shards do — more processes each searching the same
-        partition for a disjoint slice of the batch.  A caught-up
-        follower answers bit-identically to its primary (same archive,
-        same applied WAL, same grid), so striping preserves the merge
-        contract; any endpoint failure falls the whole shard back to
-        its primary.
+        ``benchmarks/bench_shard.py`` gates.  Followers never answer
+        reads: they mirror the primary's WAL and take over when it dies.
         """
         if method not in METHODS:
             raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
@@ -780,12 +744,6 @@ class ShardedDatabase:
             raise ParameterError(f"k must be >= 1, got {k}")
         if not queries:
             return []
-        pref = self.read_preference if read_preference is None else read_preference
-        if pref not in ("primary", "replica", "nearest"):
-            raise ParameterError(
-                f"unknown read preference {pref!r}; "
-                "one of ('primary', 'replica', 'nearest')"
-            )
         arrays = [
             np.ascontiguousarray(as_series(q), dtype=np.float64) for q in queries
         ]
@@ -807,12 +765,7 @@ class ShardedDatabase:
         with self._lock:
             self._require_open()
             header["req"] = next(self._reqs)  # one number for the whole scatter
-            if pref != "primary" and self._replicas is not None:
-                responses, failed = self._striped_scatter(
-                    arrays, header, pref, requests
-                )
-            else:
-                responses, failed = self._scatter(arrays, header, requests)
+            responses, failed = self._scatter(arrays, header, requests)
             results = self._merge(len(arrays), k, responses, failed)
         get_registry().counter(
             "sts3_shard_queries_total", "queries answered by the sharded engine"
@@ -904,134 +857,6 @@ class ShardedDatabase:
             reply, _ = call_packed(handle.conn, packed, req, self.rpc_timeout)
         except RpcError:
             return None
-        if reply.get("op") != "result" or not self._epoch_ok(shard_id, reply):
-            return None
-        return reply
-
-    def _striped_scatter(self, arrays, header, pref, requests):
-        """Fan one batch across each shard's eligible read endpoints.
-
-        Query ``i`` of a shard's sub-batch goes to endpoint ``i % E``
-        (``replica``: the caught-up followers, primary only as
-        fallback; ``nearest``: primary and followers alike), and every
-        send completes before any receive, so endpoints overlap both
-        within and across shards.  Replies are re-knit into original
-        query order; any endpoint failure falls the whole shard back
-        to one full-batch primary query.  Returns the ``(responses,
-        failed)`` shape :meth:`_merge` consumes.
-        """
-        plan: list[tuple[int, list[dict]]] = []
-        failed: list[int] = []
-        responses: list[tuple[int, dict]] = []
-        for shard_id in range(self.n_shards):
-            primary = self._workers[shard_id]
-            if primary is None:
-                self._restart_worker(shard_id)
-                primary = self._workers[shard_id]
-            eligible = self._replicas.endpoints(shard_id, self.max_replica_lag)
-            if pref == "replica" and eligible:
-                endpoints: list = list(eligible)
-            else:  # nearest, or replica with no caught-up follower
-                endpoints = ([primary] if primary is not None else []) + list(
-                    eligible
-                )
-            if not endpoints:
-                if self._failover(shard_id) is None:
-                    failed.append(shard_id)
-                    continue
-                endpoints = [self._workers[shard_id]]
-            n_endpoints = len(endpoints)
-            entries = []
-            for j, endpoint in enumerate(endpoints):
-                indices = list(range(j, len(arrays), n_endpoints))
-                if not indices:
-                    continue
-                entries.append(
-                    {
-                        "endpoint": endpoint,
-                        "indices": indices,
-                        "packed": pack_message(
-                            header, [arrays[i] for i in indices]
-                        ),
-                        "sent": False,
-                    }
-                )
-            plan.append((shard_id, entries))
-        with span(
-            "shard.scatter",
-            shards=len(plan),
-            queries=len(arrays),
-            striped=True,
-        ):
-            for shard_id, entries in plan:
-                for entry in entries:
-                    try:
-                        send_packed(entry["endpoint"].conn, entry["packed"])
-                        entry["sent"] = True
-                        requests.inc(op="query", shard=str(shard_id))
-                    except RpcError:
-                        pass
-        with span("shard.gather", shards=len(plan), striped=True):
-            for shard_id, entries in plan:
-                slots: list = [None] * sum(len(e["indices"]) for e in entries)
-                healthy = True
-                for entry in entries:
-                    endpoint = entry["endpoint"]
-                    if not entry["sent"]:
-                        healthy = False
-                        self._endpoint_failed(shard_id, endpoint)
-                        continue
-                    try:
-                        reply, _ = recv_reply(
-                            endpoint.conn, header["req"], self.rpc_timeout
-                        )
-                    except RpcError:
-                        healthy = False
-                        self._endpoint_failed(shard_id, endpoint)
-                        continue
-                    if reply.get("op") != "result":
-                        healthy = False
-                        continue
-                    if isinstance(endpoint, _WorkerHandle) and not self._epoch_ok(
-                        shard_id, reply
-                    ):
-                        healthy = False
-                        continue
-                    for slot, wire in zip(entry["indices"], reply["results"]):
-                        slots[slot] = wire
-                if healthy and all(s is not None for s in slots):
-                    responses.append((shard_id, {"results": slots}))
-                    continue
-                reply = self._full_primary_query(shard_id, header, arrays, requests)
-                if reply is None:
-                    failed.append(shard_id)
-                else:
-                    responses.append((shard_id, reply))
-        return responses, failed
-
-    def _endpoint_failed(self, shard_id, endpoint) -> None:
-        """A read endpoint broke mid-query: recover it for next time."""
-        if isinstance(endpoint, _WorkerHandle):
-            self._worker_failed(shard_id, "eof")
-        else:
-            self._replicas.reap(shard_id, endpoint.replica_id)
-            self._replicas.spawn(shard_id, endpoint.replica_id)
-
-    def _full_primary_query(self, shard_id, header, arrays, requests) -> dict | None:
-        """Fallback: the primary answers the whole batch for one shard."""
-        handle = self._primary(shard_id)
-        if handle is None:
-            return None
-        # a conversation of its own, so a number of its own: this pipe
-        # may already have carried a stripe of the scatter's request
-        req = next(self._reqs)
-        packed = pack_message({**header, "req": req}, arrays)
-        try:
-            requests.inc(op="query", shard=str(shard_id))
-            reply, _ = call_packed(handle.conn, packed, req, self.rpc_timeout)
-        except RpcError as exc:
-            kind = "timeout" if not isinstance(exc, WorkerDied) else "eof"
-            return self._recover_and_retry(shard_id, kind, packed, req, requests)
         if reply.get("op") != "result" or not self._epoch_ok(shard_id, reply):
             return None
         return reply

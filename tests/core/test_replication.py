@@ -1,15 +1,14 @@
-"""WAL-shipping replication: replica reads, shipping, and failover.
+"""WAL-shipping replication: follower parity, shipping, and failover.
 
 docs/replication.md's contracts, exercised with real follower
 processes on deliberately small corpora (the same sizing rationale as
 ``test_sharded_database.py`` — these tests fork, kill, and promote
 processes, so the workload is sized for the lifecycle):
 
-1. **replica parity** — a caught-up follower answers bit-identically
-   (``float.hex``) to its primary, so ``read_preference="replica"`` /
-   ``"nearest"`` preserve the scatter-gather merge contract,
-2. **bounded staleness** — a partitioned follower's lag grows and is
-   excluded from reads; healing the partition drains it back to zero,
+1. **follower parity** — a caught-up follower answers bit-identically
+   (``float.hex``) to its primary, so promoting it changes no answer,
+2. **lag** — a partitioned follower's lag grows; healing the
+   partition drains it back to zero,
 3. **failover** — SIGKILL the primary mid-insert-storm and the
    freshest follower is promoted with zero acked-write loss: every
    acknowledged insert is present and post-promotion answers are
@@ -27,9 +26,11 @@ import pytest
 
 from repro import STS3Database
 from repro.core.replication import replica_mirror_name
+from repro.core.rpc import call_packed
 from repro.core.shard import ShardedDatabase, ShardError
 from repro.core.wal import read_applied_seq, scan_wal
-from repro.exceptions import FollowerWriteError, ParameterError
+from repro.exceptions import FollowerWriteError
+from repro.serve.protocol import pack_message
 
 LENGTH = 32
 SIGMA = 2
@@ -61,6 +62,48 @@ def build_pair(tmp_path, seed=11, n_series=120, shards=2, replicas=2, **kw):
     return single, sharded, rng
 
 
+def follower_answers(sharded, queries, k):
+    """Ask every caught-up follower what its primary answers, bit for bit.
+
+    Followers serve no engine reads, so one packed ``query`` frame goes
+    straight down each pipe — the primary's and each live follower's
+    with zero lag — and the wire answers are compared as ``float.hex``.
+    Nothing is shipped first: a follower that acked records it never
+    applied shows up here as a mismatch.  Returns the compared
+    followers' answers keyed by ``(shard, replica)``.
+    """
+    header = {
+        "op": "query", "k": int(k), "method": "index",
+        "scale": None, "max_scale": None, "deadline_ms": None,
+    }
+    arrays = [np.asarray(q, dtype=np.float64) for q in queries]
+
+    def ask(conn):
+        req = next(sharded._reqs)
+        reply, _ = call_packed(
+            conn, pack_message({**header, "req": req}, arrays), req,
+            sharded.rpc_timeout,
+        )
+        assert reply["op"] == "result", reply
+        assert all(wire["complete"] for wire in reply["results"])
+        return [
+            [(int(i), float(sim).hex()) for i, sim in wire["neighbors"]]
+            for wire in reply["results"]
+        ]
+
+    answers = {}
+    with sharded._lock:
+        for shard_id in range(sharded.n_shards):
+            expected = ask(sharded._workers[shard_id].conn)
+            for handle in sharded._replicas.live(shard_id):
+                if sharded._replicas.lag_records(handle):
+                    continue
+                got = ask(handle.conn)
+                assert got == expected, (shard_id, handle.replica_id)
+                answers[shard_id, handle.replica_id] = got
+    return answers
+
+
 def shard_lag(sharded, shard_id):
     """Per-replica lag_records for one shard (None for dead followers)."""
     [entry] = [e for e in sharded.replica_status() if e["shard"] == shard_id]
@@ -72,12 +115,10 @@ class TestReplicaReads:
         single, sharded, rng = build_pair(tmp_path)
         try:
             queries = make_series(rng, 8)
-            expected = hex_answers(single.query_batch(queries, k=7))
-            for pref in ("primary", "replica", "nearest"):
-                got = sharded.query_batch(queries, k=7, read_preference=pref)
-                assert hex_answers(got) == expected, pref
-                assert all(r.complete for r in got), pref
-                assert all(r.skipped_shards == [] for r in got), pref
+            got = sharded.query_batch(queries, k=7)
+            assert hex_answers(got) == hex_answers(single.query_batch(queries, k=7))
+            assert all(r.complete and r.skipped_shards == [] for r in got)
+            assert len(follower_answers(sharded, queries, k=7)) == 4
         finally:
             single.close()
             sharded.close()
@@ -89,30 +130,11 @@ class TestReplicaReads:
         try:
             probe = rng.normal(size=LENGTH) * 8.0
             report = sharded.insert(probe)
-            result = sharded.query(probe, k=1, read_preference="replica")
-            assert result.complete
-            assert result.neighbors[0].index == report["id"]
-        finally:
-            sharded.close()
-
-    def test_unknown_read_preference_rejected(self, tmp_path):
-        _, sharded, rng = build_pair(tmp_path, n_series=60, replicas=1)
-        try:
-            with pytest.raises(ParameterError):
-                sharded.query(rng.normal(size=LENGTH), read_preference="nope")
-            with pytest.raises(ParameterError):
-                ShardedDatabase.open(sharded.directory, read_preference="bad")
-        finally:
-            sharded.close()
-
-    def test_replica_pref_without_replicas_falls_back_to_primary(self, tmp_path):
-        _, sharded, rng = build_pair(tmp_path, n_series=60, replicas=0)
-        try:
-            result = sharded.query(
-                rng.normal(size=LENGTH), k=3, read_preference="replica"
-            )
-            assert result.complete
-            assert len(result.neighbors) == 3
+            answers = follower_answers(sharded, [probe], k=1)
+            assert len(answers) == 4
+            for (shard_id, _), [neighbors] in answers.items():
+                if shard_id == report["shard"]:
+                    assert neighbors[0] == (report["id"], (1.0).hex())
         finally:
             sharded.close()
 
@@ -139,9 +161,9 @@ class TestShippingAndLag:
             reports = [sharded.insert(rng.normal(size=LENGTH)) for _ in range(6)]
             lagged = {r["shard"] for r in reports}
             for shard_id in lagged:
-                assert shard_lag(sharded, shard_id) != [0]
-                # a lagging follower is excluded from bounded-staleness reads
-                assert sharded._replicas.endpoints(shard_id, 0) == []
+                [lag] = shard_lag(sharded, shard_id)
+                # every insert this shard acked is still unshipped
+                assert lag == sum(r["shard"] == shard_id for r in reports) * 2
             for shard_id in range(sharded.n_shards):
                 sharded._replicas.set_partitioned(shard_id, 0, False)
             sharded.ship_replication()
@@ -180,13 +202,8 @@ class TestShippingAndLag:
                 for replica in entry["replicas"]:
                     assert replica["alive"]
                     assert replica["lag_records"] == 0
-            # replica reads remain bit-identical to primary reads
-            queries = make_series(rng, 4)
-            expected = hex_answers(
-                sharded.query_batch(queries, k=5, read_preference="primary")
-            )
-            got = sharded.query_batch(queries, k=5, read_preference="replica")
-            assert hex_answers(got) == expected
+            # followers still answer bit-identically to their primaries
+            assert len(follower_answers(sharded, make_series(rng, 4), k=5)) == 4
         finally:
             sharded.close()
 
@@ -201,15 +218,17 @@ class TestShippingAndLag:
             report = sharded.insert(probe)
             shard_id = report["shard"]
             sharded._replicas.set_partitioned(shard_id, 0, True)
-            sharded.insert(rng.normal(size=LENGTH))
-            sharded.insert(rng.normal(size=LENGTH))
+            missed = make_series(rng, 2)
+            for series in missed:
+                sharded.insert(series)
+            assert shard_lag(sharded, shard_id) != [0]
             sharded.save()
             sharded._replicas.set_partitioned(shard_id, 0, False)
             sharded.ship_replication()
             assert shard_lag(sharded, shard_id) == [0]
-            result = sharded.query(probe, k=1, read_preference="replica")
-            assert result.complete
-            assert result.neighbors[0].index == report["id"]
+            # the re-bootstrapped follower holds what it was cut off from
+            answers = follower_answers(sharded, [probe, *missed], k=1)
+            assert answers[shard_id, 0][0][0] == (report["id"], (1.0).hex())
         finally:
             sharded.close()
 
@@ -471,9 +490,9 @@ class TestFaultDrills:
                 if shard_lag(sharded, shard_id) == [0]:
                     break
             assert shard_lag(sharded, shard_id) == [0]
-            result = sharded.query(probe, k=1, read_preference="replica")
-            assert result.complete
-            assert result.neighbors[0].index == report["id"]
+            answers = follower_answers(sharded, [probe], k=1)
+            [neighbors] = answers[shard_id, 0]
+            assert neighbors[0] == (report["id"], (1.0).hex())
         finally:
             sharded.close()
 

@@ -5,10 +5,9 @@ partitions (and their heals), checkpoints, primary SIGKILLs, and
 manual promotions, and checks after every step that
 
 - no acked write is ever lost: every series the engine acknowledged
-  is findable under its global id with similarity 1.0, through every
-  read preference,
-- replica reads are bit-identical to primary reads of the same engine
-  (the bounded-staleness guard must hide every lagging follower),
+  is findable under its global id with similarity 1.0,
+- every caught-up follower answers bit-identically to its primary, so
+  a promotion can never change an answer,
 - the id space never tears: ``len(db)`` equals the model's count.
 
 This hunts the interleavings the example-based drills in
@@ -25,6 +24,8 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.core.shard import ShardedDatabase, ShardError
 
+from .test_replication import follower_answers
+
 LENGTH = 24
 SHARDS = 2
 REPLICAS = 1
@@ -32,13 +33,6 @@ REPLICAS = 1
 
 def _series(seed: int) -> np.ndarray:
     return np.random.default_rng(seed).normal(size=LENGTH)
-
-
-def _hex(results):
-    return [
-        [(n.index, float(n.similarity).hex()) for n in r.neighbors]
-        for r in results
-    ]
 
 
 class ReplicationMachine(RuleBasedStateMachine):
@@ -114,22 +108,19 @@ class ReplicationMachine(RuleBasedStateMachine):
     def acked_write_findable(self, offset):
         ids = sorted(self.model)
         series_id = ids[offset % len(ids)]
-        for pref in ("primary", "replica", "nearest"):
-            result = self.db.query(
-                self.model[series_id], k=1, read_preference=pref
-            )
-            assert result.complete, pref
-            assert result.neighbors[0].index == series_id, pref
-            assert float(result.neighbors[0].similarity) == 1.0, pref
+        result = self.db.query(self.model[series_id], k=1)
+        assert result.complete
+        assert result.neighbors[0].index == series_id
+        assert float(result.neighbors[0].similarity) == 1.0
 
     @rule(offset=st.integers(0, 1000), k=st.integers(1, 5))
-    def replica_reads_match_primary(self, offset, k):
-        queries = [_series(self.seed + 30_000 + offset + i) for i in range(2)]
-        expected = _hex(self.db.query_batch(queries, k=k))
-        for pref in ("replica", "nearest"):
-            got = self.db.query_batch(queries, k=k, read_preference=pref)
-            assert all(r.complete for r in got), pref
-            assert _hex(got) == expected, pref
+    def followers_match_primary(self, offset, k):
+        # the newest acked write is the one a stale follower would miss
+        queries = [
+            self.model[max(self.model)],
+            _series(self.seed + 30_000 + offset),
+        ]
+        follower_answers(self.db, queries, k)
 
     def teardown(self):
         import shutil

@@ -288,10 +288,13 @@ class TestServe:
     @pytest.mark.parametrize("argv", [
         ["serve", "--max-workers", "2"],
         ["bench", "--workers", "2"],
-    ], ids=["serve", "bench"])
+        ["serve", "--read-preference", "replica"],
+        ["serve", "--max-replica-lag", "3"],
+    ], ids=["serve", "bench", "read-preference", "max-replica-lag"])
     def test_thread_fanout_flags_are_gone(self, argv, capsys):
-        # More cores come from ``--shards``; a thread-count flag must
-        # fail loudly rather than be silently ignored.
+        # More cores come from ``--shards``, and followers serve no
+        # reads; a removed flag must fail loudly rather than be
+        # silently ignored.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -304,6 +307,19 @@ class TestServe:
             main(["serve", "--coalesce-ms", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_replicas_need_the_sharded_engine(self, monkeypatch, capsys):
+        # Followers exist per shard; a plain database has none to give,
+        # so the flag is refused instead of silently dropped.
+        import repro.serve
+
+        def never(*args, **kwargs):
+            raise AssertionError("served without the requested followers")
+
+        monkeypatch.setattr(repro.serve, "serve", never)
+        argv = ["serve", "--replicas", "1", "--series", "50", "--length", "32"]
+        assert main(argv) == 2
+        assert "--replicas needs the sharded engine" in capsys.readouterr().err
 
     def test_serve_build_db_synthetic(self):
         from repro.cli import _serve_build_db
