@@ -9,11 +9,15 @@ server's request coalescing.
 
 Two phases over identical workloads:
 
-- **serial** — ``max_coalesce=1``: every request dispatches on its
-  own through the engine thread (per-request scalar execution),
-- **coalesced** — ``max_coalesce=clients``: requests that queue behind
-  the busy engine leave together as one vectorized ``query_batch``
-  tile per signature (group commit; no timer).
+- **serial** — ``max_coalesce=1``: every request is a window of one,
+  answered by a scalar ``db.query`` on the server's event loop,
+- **coalesced** — ``max_coalesce=clients``: requests that arrive in
+  the same loop turn, or queue behind the busy engine, leave together
+  as one vectorized ``query_batch`` tile per signature (group commit;
+  no timer).
+
+Both phases run every engine call on the event loop (there is no
+engine thread), so the only difference between them is batching.
 
 The speedup is the whole point of the serving-layer design: on a
 single core it comes purely from batch-kernel amortization (shared

@@ -211,9 +211,9 @@ class BatchQueryEngine:
         # Index-side artifacts (one-hot, bitset), built lazily on first
         # use.  The lock makes that build happen once when concurrent
         # direct callers of one database reach the same engine together
-        # (the serving layer's single engine thread never races itself;
-        # maintenance drops a segment's engine under the segment lock
-        # but never builds into one).
+        # (the serving layer runs every engine call on its event loop,
+        # so it never races itself; maintenance drops a segment's
+        # engine under the segment lock but never builds into one).
         self._build_lock = threading.Lock()
         self._onehot: np.ndarray | None = None
         #: a BitsetStore, a zero-arg supplier for one, or None.

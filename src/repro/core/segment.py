@@ -126,9 +126,10 @@ class Segment:
         self.payload_crc32: int | None = None
         # Guards lazy materialization, searcher construction and
         # release against the races that remain: the maintenance
-        # thread's merge and eviction against the engine thread, and
-        # concurrent direct callers of one database.  Reentrant because
-        # building a searcher touches sets/bitset under the same lock.
+        # thread's merge and eviction against the thread that queries
+        # (a server's event loop, say), and concurrent direct callers
+        # of one database.  Reentrant because building a searcher
+        # touches sets/bitset under the same lock.
         self._lock = threading.RLock()
 
     @classmethod

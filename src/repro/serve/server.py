@@ -35,6 +35,7 @@ from ..obs import get_registry, span
 from .protocol import (
     DEFAULT_PORT,
     HTTP_STATUS,
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     ProtocolError,
     ServeError,
@@ -129,7 +130,7 @@ class STS3Server:
             self.http_port = self._http.sockets[0].getsockname()[1]
 
     async def stop(self, drain: bool = True) -> None:
-        """Graceful shutdown: stop listening, drain, release the engine."""
+        """Graceful shutdown: stop listening, drain, wait for the listeners."""
         for server in (self._binary, self._http):
             if server is not None:
                 server.close()
@@ -138,7 +139,6 @@ class STS3Server:
         for server in (self._binary, self._http):
             if server is not None:
                 await server.wait_closed()
-        self.service.close()
 
     # -- binary protocol -------------------------------------------------
 
@@ -285,7 +285,15 @@ class STS3Server:
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 if name.strip().lower() == "content-length":
-                    content_length = int(value.strip())
+                    # Capped like a binary frame and checked before any
+                    # of the body is read, so a bogus length cannot
+                    # stall the connection.
+                    value = value.strip()
+                    if not (value.isdigit() and int(value) <= MAX_FRAME_BYTES):
+                        raise ServeError(
+                            "BAD_REQUEST", f"bad Content-Length {value!r}"
+                        )
+                    content_length = int(value)
             raw = (
                 await reader.readexactly(content_length)
                 if content_length

@@ -7,11 +7,12 @@ owns three serving-side behaviours the engine itself should not know
 about (DESIGN.md §14):
 
 - **Request coalescing (group commit).**  A single query that finds
-  the engine idle runs at once — nothing waits on a timer.  Queries
-  that arrive while the engine is busy queue, grouped by every
-  answer-affecting parameter, and the oldest group becomes the next
-  *window* (at most ``max_coalesce`` queries) the moment the engine
-  frees up: one ``STS3Database.query_batch`` call, one pass of the
+  the engine idle runs at the end of the loop turn it arrived in —
+  nothing waits on a timer.  Queries that arrive in that turn, or
+  while the engine is busy, queue, grouped by every answer-affecting
+  parameter, and the oldest group becomes the next *window* (at most
+  ``max_coalesce`` queries) the moment the engine frees up: one
+  ``STS3Database.query_batch`` call, one pass of the
   vectorized batch kernel instead of N scalar searches.  Windows are
   served FIFO across signatures, so no signature starves.  The batch
   engine is bit-identical to the scalar path by contract, so
@@ -29,17 +30,23 @@ about (DESIGN.md §14):
   in-flight work, queued windows included — so a deploy never answers
   a request with a torn connection.
 
-All engine work runs on a single dedicated executor thread: the
-engine's mutable surfaces (workspace scratch, update buffer, caches)
-are not thread-safe, and one thread serializes them by construction
-while numpy kernels still release the GIL under it.  More cores come
-from serving a :class:`~repro.core.shard.ShardedDatabase` (one process
-per shard, DESIGN.md §16), which exposes the same engine surface.
+All engine work runs on the event loop itself: the engine's mutable
+surfaces (workspace scratch, update buffer, caches, WAL) are not
+thread-safe, and the loop's one thread serializes them by
+construction.  A 4k-series query costs the engine under a millisecond,
+so a hop to a separate engine thread would cost more (two GIL
+hand-offs per query) than the loop responsiveness it buys.  While an
+engine call runs the loop does nothing else — it accepts no
+connection, answers no ``/healthz`` or ``/metrics`` scrape and sheds
+no load with ``BUSY``; ``verify`` is the one long call (0.3–0.4 s at
+4k series, 1.0–1.3 s at 20k).  More cores come from serving a
+:class:`~repro.core.shard.ShardedDatabase` (one process per shard,
+DESIGN.md §16), which exposes the same engine surface.
 
 Deadlines are anchored at *arrival*: the service stamps each request
 with ``db.clock()`` on admission and passes the stamp through
-``deadline_start``, so time a request spends waiting behind the
-executor counts against its budget exactly like search time does —
+``deadline_start``, so time a request spends waiting behind queued
+windows counts against its budget exactly like search time does —
 a queued request that blows its deadline degrades instead of returning
 late and complete (the Lernaean-Hydra serving stance).
 """
@@ -49,7 +56,6 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,16 +71,20 @@ __all__ = ["ServiceConfig", "QueryService"]
 _WINDOW_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Event-loop turns the dispatcher may wait, after answering a window,
-#: for that window's callers to come back before it cuts the next: one
-#: for them to write their answers, one to poll the sockets, one to
-#: parse what came back, one for those requests to reach the queue and
-#: one so they are queued before the cut.  It stops waiting as soon as
+#: for that window's callers to come back before it cuts the next (each
+#: turn is one rescheduled ``_dispatch``): one for them to write their
+#: answers, one to poll the sockets, one to parse what came back, one
+#: for those requests to reach the queue and one so they are queued
+#: before the cut.  It stops waiting as soon as
 #: the queue is as wide as the answered window, so a closed-loop client
 #: fleet comes back as one window rather than a wide one plus
 #: stragglers, while a queue that is already deep is served at once.
 #: Turns, not time: when nobody is coming back they pass in
 #: microseconds.
 _SETTLE_TURNS = 5
+
+#: seconds ``drain`` waits for in-flight work before giving up.
+_DRAIN_GRACE_S = 10.0
 
 
 @dataclass
@@ -97,8 +107,6 @@ class ServiceConfig:
     rate_limit: float | None = None
     #: per-client burst ceiling (bucket capacity).
     rate_burst: int = 20
-    #: seconds ``drain`` waits for in-flight work before giving up.
-    drain_grace_s: float = 10.0
 
 
 class _TokenBucket:
@@ -139,21 +147,19 @@ class QueryService:
         #: injectable so admission tests advance time deterministically.
         #: Distinct from ``db.clock`` (the deadline ladder's clock).
         self.clock = time.monotonic
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="sts3-engine"
-        )
         #: windows waiting for the engine, oldest first, and the newest
         #: not-yet-full one per signature (the one a new query joins).
         self._queue: deque[_Window] = deque()
         self._open: dict[tuple, _Window] = {}
-        #: engine calls submitted and not yet returned, and whether a
-        #: window is running or still settling (see ``_SETTLE_TURNS``).
-        self._engine_jobs = 0
-        self._window_in_flight = False
+        #: whether a ``_dispatch`` callback is scheduled (at most one),
+        #: and the settle rule's state: turns left to wait and the
+        #: width of the window last answered (see ``_SETTLE_TURNS``).
+        self._dispatch_scheduled = False
+        self._settle_turns = 0
+        self._settle_width = 0
         self._buckets: dict[str, _TokenBucket] = {}
         self._pending = 0
         self._draining = False
-        self._tasks: set[asyncio.Task] = set()
 
     # -- admission -------------------------------------------------------
 
@@ -173,7 +179,7 @@ class QueryService:
         ).inc(reason=reason)
         return ServeError(code, message)
 
-    def _admit(self, op: str, client: str, cost: int = 1) -> None:
+    def _admit(self, client: str, cost: int = 1) -> None:
         """Admission control; raises :class:`ServeError` to shed load."""
         config = self.config
         if self._draining:
@@ -204,7 +210,7 @@ class QueryService:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _begin(self, op: str) -> float:
+    def _begin(self) -> float:
         self._pending += 1
         get_registry().gauge(
             "sts3_server_inflight", "admitted requests not yet answered"
@@ -224,33 +230,17 @@ class QueryService:
             "sts3_server_request_seconds", "request latency from admission"
         ).observe(time.perf_counter() - started, op=op)
 
-    def _run_engine(self, fn, *args, **kwargs) -> asyncio.Future:
-        """Submit blocking engine work to the dedicated engine thread.
+    def _run_engine(self, fn, *args, **kwargs):
+        """Run direct engine work on the loop, after every queued window.
 
-        Returns an awaitable future.  Submission is immediate, so the
-        engine thread runs work in the order it was submitted, and work
-        submitted here never overtakes a window that was already
-        queued: the oldest one is handed to the engine first.  Windows
-        queue while any engine work is in flight; when it returns, the
-        dispatcher may cut the next one.
+        Direct work — an insert, an explicit batch, a deadline query —
+        never overtakes a window that was already queued: the queue is
+        answered first, oldest window first, then ``fn`` runs.  All of
+        it is synchronous; the loop does nothing else meanwhile.
         """
-        self._start_window()  # a no-op for a window's own engine call
-        future = asyncio.get_running_loop().run_in_executor(
-            self._executor, lambda: fn(*args, **kwargs)
-        )
-        self._engine_jobs += 1
-        future.add_done_callback(self._engine_done)
-        return future
-
-    def _engine_done(self, _future: asyncio.Future) -> None:
-        self._engine_jobs -= 1
-        self._dispatch()
-
-    def _track(self, coro) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
+        while self._queue:
+            self._run_window(self._queue.popleft())
+        return fn(*args, **kwargs)
 
     # -- operations ------------------------------------------------------
 
@@ -270,24 +260,19 @@ class QueryService:
         a wide window runs through ``db.query_batch``, whose parity
         with scalar calls the engine already guarantees.
         """
-        self._admit("query", client)
-        started = self._begin("query")
+        self._admit(client)
+        started = self._begin()
         status = "ok"
         try:
             if deadline_ms is not None:
                 # Personal budget, already ticking: bypass the window
-                # and anchor the ladder at arrival so executor queue
-                # wait burns budget too.
+                # and anchor the ladder at arrival so the windows
+                # answered ahead of it burn budget too.
                 arrival = self.db.clock()
-                return await self._run_engine(
+                return self._run_engine(
                     self.db.query, series, k=k, method=method, scale=scale,
                     max_scale=max_scale, deadline_ms=deadline_ms,
                     deadline_start=arrival,
-                )
-            if self.config.max_coalesce <= 1:
-                return await self._run_engine(
-                    self.db.query, series, k=k, method=method, scale=scale,
-                    max_scale=max_scale,
                 )
             return await self._coalesce(series, (k, method, scale, max_scale))
         except ServeError as exc:
@@ -314,14 +299,14 @@ class QueryService:
         Counts as one admission slot but ``len(queries)`` rate-limit
         tokens (it is that many queries' worth of work).
         """
-        self._admit("batch", client, cost=max(1, len(queries)))
-        started = self._begin("batch")
+        self._admit(client, cost=max(1, len(queries)))
+        started = self._begin()
         status = "ok"
         try:
             arrival = (
                 self.db.clock() if deadline_ms is not None else None
             )
-            return await self._run_engine(
+            return self._run_engine(
                 self.db.query_batch, queries, k=k, method=method, scale=scale,
                 max_scale=max_scale, deadline_ms=deadline_ms,
                 deadline_start=arrival,
@@ -336,7 +321,7 @@ class QueryService:
             self._finish("batch", started, status)
 
     async def insert(self, series: np.ndarray, client: str = "local") -> dict:
-        """Insert one series; serialized with queries on the engine thread.
+        """Insert one series; serialized with queries on the event loop.
 
         The reply reports where the series landed: ``path`` is
         ``"direct"`` (in-bound, extended the newest segment) or
@@ -345,11 +330,11 @@ class QueryService:
         new segment.  The engine's own ``insert`` report is the reply; a
         sharded engine's adds ``id`` and ``shard``.
         """
-        self._admit("insert", client)
-        started = self._begin("insert")
+        self._admit(client)
+        started = self._begin()
         status = "ok"
         try:
-            return await self._run_engine(self.db.insert, series)
+            return self._run_engine(self.db.insert, series)
         except ServeError as exc:
             status = exc.code
             raise
@@ -360,12 +345,12 @@ class QueryService:
             self._finish("insert", started, status)
 
     async def verify(self, client: str = "local") -> list[str]:
-        """Run ``db.verify_integrity`` off the event loop."""
-        self._admit("verify", client)
-        started = self._begin("verify")
+        """Run ``db.verify_integrity`` — on the loop, like all engine work."""
+        self._admit(client)
+        started = self._begin()
         status = "ok"
         try:
-            return await self._run_engine(self.db.verify_integrity)
+            return self._run_engine(self.db.verify_integrity)
         except Exception:
             status = "INTERNAL"
             raise
@@ -384,23 +369,37 @@ class QueryService:
         window.items.append((series, future))
         if len(window.items) >= self.config.max_coalesce:
             del self._open[signature]  # full: the next query opens another
-        self._dispatch()
+        self._schedule_dispatch()
         return await future
 
-    def _dispatch(self) -> None:
-        """Start the oldest queued window if the engine is idle."""
-        if not self._engine_jobs:
-            self._start_window()
+    def _schedule_dispatch(self) -> None:
+        """Run ``_dispatch`` at the end of this loop turn, once.
 
-    def _start_window(self) -> None:
-        """Hand the oldest queued window to the engine unless one is in
-        flight (running or settling)."""
-        if self._window_in_flight or not self._queue:
-            return
-        window = self._queue.popleft()
+        The deferral is what lets a window form on an idle engine: every
+        query that arrives in the same turn joins it.
+        """
+        if not self._dispatch_scheduled:
+            self._dispatch_scheduled = True
+            asyncio.get_running_loop().call_soon(self._dispatch)
+
+    def _dispatch(self) -> None:
+        """Answer the oldest queued window, unless the last window's
+        callers may still be on their way back (``_SETTLE_TURNS``)."""
+        self._dispatch_scheduled = False
+        if self._settle_turns:
+            self._settle_turns -= 1  # this turn counts toward the settle
+            queued = sum(len(w.items) for w in self._queue)
+            if self._settle_turns and queued < self._settle_width:
+                self._schedule_dispatch()
+                return
+        if self._queue:
+            self._run_window(self._queue.popleft())
+
+    def _run_window(self, window: _Window) -> None:
+        """Answer one window with one engine call, fan its results (or
+        its failure) out to its queries, then start settling."""
         if self._open.get(window.signature) is window:
             del self._open[window.signature]
-        self._window_in_flight = True
         get_registry().histogram(
             "sts3_server_window_queries",
             "single queries per coalescing window",
@@ -408,73 +407,49 @@ class QueryService:
         ).observe(len(window.items))
         queries = [series for series, _ in window.items]
         k, method, scale, max_scale = window.signature
-        if len(queries) == 1:
-            # A lonely window: the scalar path answers it with less
-            # fixed cost than a one-query batch pass.
-            call = self._run_engine(
-                self.db.query, queries[0], k=k, method=method, scale=scale,
-                max_scale=max_scale,
-            )
-        else:
-            call = self._run_engine(
-                self.db.query_batch, queries, k=k, method=method,
-                scale=scale, max_scale=max_scale,
-            )
-        self._track(self._answer_window(window, call))
-
-    async def _answer_window(
-        self, window: _Window, call: asyncio.Future
-    ) -> None:
-        """Fan one window's engine call out to its queries, then settle."""
         try:
-            with span(
-                "server.window", queries=len(window.items),
-                method=window.signature[1],
-            ):
-                results = await call
-        except BaseException as exc:  # noqa: BLE001 — fan the failure out
+            with span("server.window", queries=len(queries), method=method):
+                if len(queries) == 1:
+                    # A lonely window: the scalar path answers it with
+                    # less fixed cost than a one-query batch pass.
+                    results = [self.db.query(
+                        queries[0], k=k, method=method, scale=scale,
+                        max_scale=max_scale,
+                    )]
+                else:
+                    results = self.db.query_batch(
+                        queries, k=k, method=method, scale=scale,
+                        max_scale=max_scale,
+                    )
+        except Exception as exc:  # noqa: BLE001 — fan the failure out
             for _, future in window.items:
                 if not future.done():
                     future.set_exception(exc)
         else:
-            if len(window.items) == 1:
-                results = [results]
             for (_, future), result in zip(window.items, results):
                 if not future.done():
                     future.set_result(result)
-        try:
-            for _ in range(_SETTLE_TURNS):
-                queued = sum(len(w.items) for w in self._queue)
-                if queued >= len(window.items):
-                    break
-                await asyncio.sleep(0)
-        finally:
-            self._window_in_flight = False
-            self._dispatch()
+        self._settle_turns = _SETTLE_TURNS
+        self._settle_width = len(queries)
+        self._schedule_dispatch()
 
     # -- lifecycle -------------------------------------------------------
 
-    async def drain(self, grace_s: float | None = None) -> bool:
+    async def drain(self) -> bool:
         """Stop admitting, wait for in-flight work and queued windows.
 
-        Returns True when everything in flight completed inside the
-        grace period (config ``drain_grace_s`` unless overridden).
-        Idempotent; the service stays drained afterwards.  A background
-        maintenance engine attached to the database is paused first, so
-        shutdown never races a merge publishing mid-drain.
+        Returns True when everything in flight completed inside
+        ``_DRAIN_GRACE_S``.  Idempotent; the service stays drained
+        afterwards.  A background maintenance engine attached to the
+        database is paused first, so shutdown never races a merge
+        publishing mid-drain.
         """
         self._draining = True
         engine = getattr(self.db, "maintenance", None)
         if engine is not None:
             engine.pause()
         with span("server.drain", pending=self._pending):
-            deadline = self.clock() + (
-                self.config.drain_grace_s if grace_s is None else grace_s
-            )
-            while (self._pending or self._tasks) and self.clock() < deadline:
+            deadline = self.clock() + _DRAIN_GRACE_S
+            while self._pending and self.clock() < deadline:
                 await asyncio.sleep(0.005)
-        return not self._pending and not self._tasks
-
-    def close(self) -> None:
-        """Release the engine thread (call after :meth:`drain`)."""
-        self._executor.shutdown(wait=True)
+        return not self._pending

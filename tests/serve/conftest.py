@@ -7,9 +7,6 @@ the same small ECG database, built once per module.
 
 from __future__ import annotations
 
-import asyncio
-import threading
-
 import numpy as np
 import pytest
 
@@ -69,14 +66,3 @@ def make_multiseg_db() -> tuple[STS3Database, np.ndarray]:
     query = np.random.default_rng(77).normal(size=length)
     return database, query
 
-
-async def park_engine(service) -> tuple[threading.Event, asyncio.Future]:
-    """Occupy ``service``'s engine thread until the returned event is set.
-
-    Queries that arrive meanwhile queue behind the parked engine, so on
-    release they form windows by the dispatcher's rules alone: the
-    window shapes a test asserts never depend on thread timing.  The
-    park gives up after 30 s so a broken test fails instead of hanging.
-    """
-    release = threading.Event()
-    return release, service._run_engine(release.wait, 30)

@@ -30,7 +30,6 @@ from repro.serve import (
 )
 
 from ..conftest import answer_hex
-from .conftest import park_engine
 
 
 @pytest.fixture
@@ -109,31 +108,31 @@ class TestBinaryProtocol:
         naive = [db.query(q, k=10, method="naive") for q in workload.queries]
         served = [None] * n_clients
         errors = []
+        connected = threading.Barrier(n_clients + 1, timeout=10)
 
         def worker(i):
             try:
                 with ServeClient("127.0.0.1", server.port) as client:
+                    connected.wait()
                     served[i] = client.query(workload.queries[i], k=10)
             except Exception as exc:  # noqa: BLE001 — surfaced below
                 errors.append(exc)
 
-        # The engine is parked until every client's query has queued
-        # behind it, so all of them leave as one window.
+        # The loop is parked until every client has connected, plus a
+        # moment for their sends, so it reads all the queries in one
+        # turn and they leave as one window.
         with ServerThread(db, ServiceConfig()) as server:
-            release, _ = server.submit(
-                park_engine(server.service)
-            ).result(timeout=10)
+            parked = threading.Event()
+            server._loop.call_soon_threadsafe(
+                lambda: (parked.set(), connected.wait(), time.sleep(0.05))
+            )
+            assert parked.wait(timeout=10)
             threads = [
                 threading.Thread(target=worker, args=(i,))
                 for i in range(n_clients)
             ]
             for t in threads:
                 t.start()
-            deadline = time.monotonic() + 30
-            while (server.service.pending < n_clients
-                   and time.monotonic() < deadline):
-                time.sleep(0.001)
-            release.set()
             for t in threads:
                 t.join(timeout=30)
         assert not errors
@@ -309,6 +308,22 @@ class TestHttpAdapter:
         conn.close()
         assert response.status == 400
         assert payload["code"] == "BAD_REQUEST"
+
+    @pytest.mark.parametrize("length", ["100000000", "-5", "12abc"])
+    def test_bad_content_length_is_400_before_the_body(self, server, length):
+        # No body follows: the length is refused from the header alone
+        # (a body over the frame cap is never read, so never waited on).
+        with socket.create_connection(
+            ("127.0.0.1", server.http_port), timeout=5
+        ) as raw:
+            raw.sendall(
+                f"POST /v1/query HTTP/1.1\r\nContent-Length: {length}\r\n"
+                "\r\n".encode()
+            )
+            reply = raw.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["code"] == "BAD_REQUEST"
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_k_below_one_is_400(self, server, queries, k):

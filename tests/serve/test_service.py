@@ -3,13 +3,15 @@
 The load-bearing contract: answers served through the coalescing path
 are *bit-identical* to direct ``db.query`` calls — including
 deadline-degraded and cache-hit answers.  Window shapes are made
-deterministic by parking the engine thread (``park_engine``), never by
-racing a timer.
+deterministic by starting the calls in one loop turn (``gather``): they
+all queue before the dispatcher runs, so windows form by its rules
+alone, never by racing a timer or a thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from repro.obs import get_registry
 from repro.serve import QueryService, ServeError, ServiceConfig
 
 from ..conftest import ticking_clock
-from .conftest import park_engine
 
 
 def run(coro):
@@ -42,16 +43,6 @@ def window_snapshot():
     return get_registry().histogram("sts3_server_window_queries").series_snapshot()
 
 
-async def answer_behind_parked_engine(service, calls):
-    """Queue ``calls`` behind a parked engine, release it, gather them."""
-    release, parked = await park_engine(service)
-    pending = [asyncio.ensure_future(call) for call in calls]
-    await asyncio.sleep(0)  # every call is queued behind the busy engine
-    release.set()
-    await parked
-    return await asyncio.gather(*pending)
-
-
 class TestCoalescing:
     def test_concurrent_queries_share_one_window(self, db, queries):
         direct = [db.query(q, k=5, method="index") for q in queries]
@@ -59,12 +50,11 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                return await answer_behind_parked_engine(service, (
+                return await asyncio.gather(*(
                     service.query(q, k=5, method="index") for q in queries
                 ))
             finally:
                 await service.drain()
-                service.close()
 
         served = run(scenario())
         for s, d in zip(served, direct):
@@ -83,10 +73,9 @@ class TestCoalescing:
             try:
                 k3 = [service.query(q, k=3, method="index") for q in queries[:4]]
                 k7 = [service.query(q, k=7, method="index") for q in queries[4:8]]
-                return await answer_behind_parked_engine(service, k3 + k7)
+                return await asyncio.gather(*k3, *k7)
             finally:
                 await service.drain()
-                service.close()
 
         served = run(scenario())
         for s, d in zip(served, direct_k3 + direct_k7):
@@ -103,7 +92,6 @@ class TestCoalescing:
                 return await service.query(queries[0], k=5, method="index")
             finally:
                 await service.drain()
-                service.close()
 
         assert_same_result(run(scenario()), direct)
         windows = window_snapshot()
@@ -128,7 +116,6 @@ class TestCoalescing:
             finally:
                 del loop.call_later, loop.call_at
                 await service.drain()
-                service.close()
 
         assert_same_result(run(scenario()), direct)
 
@@ -137,12 +124,11 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                return await answer_behind_parked_engine(service, (
+                return await asyncio.gather(*(
                     service.query(q, k=5, method="index") for q in queries[:4]
                 ))
             finally:
-                await service.drain(grace_s=5.0)
-                service.close()
+                await service.drain()
 
         served = run(scenario())
         assert len(served) == 4
@@ -162,16 +148,39 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                return await answer_behind_parked_engine(service, (
+                return await asyncio.gather(*(
                     service.query(q, k=5, method="index") for q in queries[:6]
                 ))
             finally:
                 await service.drain()
-                service.close()
 
         for s, d in zip(run(scenario()), direct):
             assert_same_result(s, d)
         assert widths == [4, 2]  # oldest four first, the rest next
+        windows = window_snapshot()
+        assert windows["count"] == 2 and windows["sum"] == 6
+
+    def test_next_window_waits_for_returning_callers(self, db, queries):
+        # Three queries that arrive in one loop turn share a window.
+        # After it the dispatcher waits a few turns (_SETTLE_TURNS) for
+        # its callers: clients that come back on three different turns
+        # still share the next window.
+        service = QueryService(db)
+
+        async def client(i):
+            await service.query(queries[i], k=5, method="index")
+            for _ in range(i):
+                await asyncio.sleep(0)
+            return await service.query(queries[i + 3], k=5, method="index")
+
+        async def scenario():
+            try:
+                return await asyncio.gather(*(client(i) for i in range(3)))
+            finally:
+                await service.drain()
+
+        for i, served in enumerate(run(scenario())):
+            assert_same_result(served, db.query(queries[i + 3], k=5, method="index"))
         windows = window_snapshot()
         assert windows["count"] == 2 and windows["sum"] == 6
 
@@ -206,24 +215,18 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                release, parked = await park_engine(service)
                 clients = [
                     asyncio.ensure_future(k3_client(i)) for i in range(3)
                 ]
-                await asyncio.sleep(0)
                 k7 = asyncio.ensure_future(
                     service.query(queries[11], k=7, method="index")
                 )
-                await asyncio.sleep(0)
-                release.set()
-                await parked
                 served_k7 = await k7
                 clients_busy = not all(c.done() for c in clients)
                 await asyncio.gather(*clients)
                 return served_k7, clients_busy
             finally:
                 await service.drain()
-                service.close()
 
         served_k7, clients_busy = run(scenario())
         assert_same_result(served_k7, direct_k7)
@@ -246,17 +249,12 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                release, parked = await park_engine(service)
                 k3 = [service.query(q, k=3, method="index") for q in queries[:2]]
                 k7 = [service.query(q, k=7, method="index") for q in queries[2:4]]
-                pending = [asyncio.ensure_future(c) for c in k3 + k7]
-                await asyncio.sleep(0)
-                release.set()
-                await parked
                 # The dispatcher is not wedged: the k=7 window and a later
                 # query are still served.
                 outcomes = await asyncio.wait_for(
-                    asyncio.gather(*pending, return_exceptions=True), timeout=10
+                    asyncio.gather(*k3, *k7, return_exceptions=True), timeout=10
                 )
                 after = await asyncio.wait_for(
                     service.query(queries[4], k=5, method="index"), timeout=10
@@ -264,7 +262,6 @@ class TestCoalescing:
                 return outcomes, after
             finally:
                 await service.drain()
-                service.close()
 
         outcomes, after = run(scenario())
         for failed in outcomes[:2]:
@@ -297,14 +294,13 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                await answer_behind_parked_engine(service, [
+                await asyncio.gather(*[
                     service.query(queries[0], k=5, method="index"),
                     service.query(queries[1], k=5, method="index"),
                     service.insert(queries[2]),
                 ])
             finally:
                 await service.drain()
-                service.close()
 
         run(scenario())
         assert order == ["window", "insert"]
@@ -315,17 +311,20 @@ class TestCoalescing:
 
         async def scenario():
             try:
-                return await answer_behind_parked_engine(service, (
+                return await asyncio.gather(*(
                     service.query(q, k=5, method="index") for q in queries[:3]
                 ))
             finally:
                 await service.drain()
-                service.close()
 
         for s, d in zip(run(scenario()), direct):
             assert_same_result(s, d)
-        # Queued behind a busy engine, yet never batched.
-        assert window_snapshot()["count"] == 0
+        # Arriving together, yet never batched: a window of one each,
+        # and the batch engine never runs.
+        windows = window_snapshot()
+        assert windows["count"] == windows["sum"] == 3
+        engine = get_registry().histogram("sts3_batch_engine_queries")
+        assert engine.series_snapshot()["count"] == 0
 
 
 class TestDeadlines:
@@ -350,7 +349,6 @@ class TestDeadlines:
                 )
             finally:
                 await service.drain()
-                service.close()
 
         served = run(scenario())
         assert_same_result(served, direct)
@@ -396,7 +394,6 @@ class TestCacheHits:
                 return first, second
             finally:
                 await service.drain()
-                service.close()
 
         first, second = run(scenario())
         assert_same_result(first, direct)
@@ -417,7 +414,6 @@ class TestCacheHits:
                 )
             finally:
                 await service.drain()
-                service.close()
 
         for s, d in zip(run(scenario()), direct):
             assert_same_result(s, d)
@@ -428,19 +424,15 @@ class TestAdmission:
         service = QueryService(db, ServiceConfig(max_pending=1))
 
         async def scenario():
-            release, parked = await park_engine(service)
             first = asyncio.ensure_future(
                 service.query(queries[0], k=5, method="index")
             )
-            await asyncio.sleep(0)  # let it queue behind the busy engine
+            await asyncio.sleep(0)  # it is admitted and queued, not answered
             with pytest.raises(ServeError) as excinfo:
                 await service.query(queries[1], k=5, method="index")
             assert excinfo.value.code == "BUSY"
-            release.set()
-            await parked
-            await service.drain(grace_s=5.0)
+            await service.drain()
             await first
-            service.close()
 
         run(scenario())
         rejected = get_registry().counter("sts3_server_rejected_total")
@@ -454,17 +446,13 @@ class TestAdmission:
         service.clock = lambda: 0.0  # frozen: buckets never refill
 
         async def scenario():
-            try:
-                await service.query(queries[0], k=5, client="alice")
-                await service.query(queries[1], k=5, client="alice")
-                with pytest.raises(ServeError) as excinfo:
-                    await service.query(queries[2], k=5, client="alice")
-                assert excinfo.value.code == "RATE_LIMITED"
-                # An unrelated client has its own bucket.
-                await service.query(queries[3], k=5, client="bob")
-            finally:
-                service._draining = True
-                service.close()
+            await service.query(queries[0], k=5, client="alice")
+            await service.query(queries[1], k=5, client="alice")
+            with pytest.raises(ServeError) as excinfo:
+                await service.query(queries[2], k=5, client="alice")
+            assert excinfo.value.code == "RATE_LIMITED"
+            # An unrelated client has its own bucket.
+            await service.query(queries[3], k=5, client="bob")
 
         run(scenario())
         rejected = get_registry().counter("sts3_server_rejected_total")
@@ -479,13 +467,9 @@ class TestAdmission:
         service.clock = clock
 
         async def scenario():
-            try:
-                # burst of 1, but 0.5 s at 10 tokens/s refills plenty.
-                for q in queries[:3]:
-                    await service.query(q, k=5, client="alice")
-            finally:
-                service._draining = True
-                service.close()
+            # burst of 1, but 0.5 s at 10 tokens/s refills plenty.
+            for q in queries[:3]:
+                await service.query(q, k=5, client="alice")
 
         run(scenario())  # no ServeError: refill kept pace
 
@@ -497,14 +481,10 @@ class TestAdmission:
         service.clock = lambda: 0.0
 
         async def scenario():
-            try:
+            await service.query_batch(queries[:3], k=5, client="alice")
+            with pytest.raises(ServeError) as excinfo:
                 await service.query_batch(queries[:3], k=5, client="alice")
-                with pytest.raises(ServeError) as excinfo:
-                    await service.query_batch(queries[:3], k=5, client="alice")
-                assert excinfo.value.code == "RATE_LIMITED"
-            finally:
-                service._draining = True
-                service.close()
+            assert excinfo.value.code == "RATE_LIMITED"
 
         run(scenario())
 
@@ -514,21 +494,15 @@ class TestDrain:
         service = QueryService(db)
 
         async def scenario():
-            release, parked = await park_engine(service)
             queued = [
                 asyncio.ensure_future(service.query(q, k=5, method="index"))
                 for q in queries[:3]
             ]
+            draining = asyncio.ensure_future(service.drain())
             await asyncio.sleep(0)
-            draining = asyncio.ensure_future(service.drain(grace_s=10.0))
-            await asyncio.sleep(0)
-            assert not draining.done()  # the queued window is in flight
-            release.set()
-            await parked
+            assert not draining.done()  # the queued window has not run
             assert await draining is True
-            results = await asyncio.gather(*queued)
-            service.close()
-            return results
+            return await asyncio.gather(*queued)
 
         results = run(scenario())
         assert len(results) == 3
@@ -545,7 +519,6 @@ class TestDrain:
             with pytest.raises(ServeError) as excinfo:
                 await service.query(queries[0], k=5)
             assert excinfo.value.code == "DRAINING"
-            service.close()
 
         run(scenario())
         rejected = get_registry().counter("sts3_server_rejected_total")
@@ -564,7 +537,6 @@ class TestBookkeeping:
                 await service.verify()
             finally:
                 await service.drain()
-                service.close()
 
         run(scenario())
         requests = get_registry().counter("sts3_server_requests_total")
@@ -574,6 +546,25 @@ class TestBookkeeping:
         assert requests.value(op="verify", status="ok") == 1
         assert get_registry().gauge("sts3_server_inflight").value() == 0
 
+    def test_serving_starts_no_thread(self, db, queries):
+        # Every engine call runs on the event loop: queries, a batch, an
+        # insert and verify start no engine thread (nor any other).
+        before = set(threading.enumerate())
+        service = QueryService(db)
+
+        async def scenario():
+            await asyncio.gather(
+                service.query(queries[0], k=5), service.query(queries[1], k=5)
+            )
+            await service.query_batch(queries[:2], k=5)
+            await service.insert(queries[2])
+            await service.verify()
+            return set(threading.enumerate())
+
+        during = run(scenario())
+        assert during == before
+        assert not [t for t in during if t.name.startswith("sts3-engine")]
+
     def test_insert_reports_destination(self, db, queries):
         service = QueryService(db)
 
@@ -582,7 +573,6 @@ class TestBookkeeping:
                 return await service.insert(queries[0])
             finally:
                 await service.drain()
-                service.close()
 
         report = run(scenario())
         assert report["n_series"] == len(db)
