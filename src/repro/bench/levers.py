@@ -100,7 +100,7 @@ def run_mmap_phase(
     repeats: int = 3,
     segments: int = 4,
 ) -> dict:
-    """Eager vs zero-copy mapped archive opens (v4, packed bitsets).
+    """Eager vs zero-copy mapped archive opens.
 
     ``open_speedup`` compares open times only — the mapped side defers
     payload reads to first touch, which is timed separately — and the
@@ -112,7 +112,7 @@ def run_mmap_phase(
     queries = [rng.normal(size=length) for _ in range(n_queries)]
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "levers.sts3"
-        save_database(db, archive, pack_bitsets=True)
+        save_database(db, archive)
         archive_bytes = archive.stat().st_size
 
         eager = _best_of(lambda: load_database(archive), repeats)
@@ -237,7 +237,7 @@ def run_combined_phase(
 
     with tempfile.TemporaryDirectory() as tmp:
         archive = Path(tmp) / "levers.sts3"
-        save_database(db, archive, pack_bitsets=True)
+        save_database(db, archive)
         mapped = load_database(archive, mmap=True, cache_bytes=cache_bytes)
         cache = mapped.result_cache
         levered_results = serve(mapped)  # includes the miss epoch

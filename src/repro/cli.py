@@ -672,8 +672,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 2
     print(f"archive: {report['path']} (format v{report['format_version']})")
     for payload in report["payloads"]:
-        crc = payload["crc32"]
-        checksum = f"{crc:08x}" if crc is not None else "-"
+        checksum = f"{payload['crc32']:08x}"
         print(
             f"  {payload['name']:<12} {payload['n_series']:>7} series  "
             f"crc {checksum:>10}  {payload['status']}"

@@ -137,38 +137,6 @@ class BitsetStore:
             bits = np.uint64(1) << (columns & 63).astype(np.uint64)
             np.bitwise_or.at(self.matrix.reshape(-1), flat, bits)
 
-    @classmethod
-    def from_parts(
-        cls,
-        vocab: np.ndarray,
-        matrix: np.ndarray,
-        lengths: np.ndarray,
-        use_lut: bool | None = None,
-    ) -> "BitsetStore":
-        """Reassemble a store from persisted arrays (format v3).
-
-        The parts are adopted verbatim; shape consistency is validated
-        so a corrupted archive fails loudly instead of mis-counting.
-        """
-        matrix = np.ascontiguousarray(matrix, dtype=np.uint64)
-        vocab = np.asarray(vocab, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        n_words = (vocab.size + 63) // 64
-        if matrix.ndim != 2 or matrix.shape != (lengths.size, n_words):
-            raise ParameterError(
-                f"bitset matrix shape {matrix.shape} does not match "
-                f"{lengths.size} series x {n_words} words"
-            )
-        self = cls.__new__(cls)
-        self.use_lut = (
-            bool(use_lut) if use_lut is not None else not HAVE_BITWISE_COUNT
-        )
-        self.vocab = vocab
-        self.n_words = n_words
-        self.matrix = matrix
-        self.lengths = lengths
-        return self
-
     def __len__(self) -> int:
         return self.matrix.shape[0]
 

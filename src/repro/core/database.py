@@ -290,10 +290,10 @@ class STS3Database:
     ) -> "STS3Database":
         """Reassemble a database from per-segment ``(series, grid)`` pairs.
 
-        Persistence uses this to restore a segmented catalog exactly:
-        each archived grid is adopted verbatim (series are assumed
-        already prepared), so similarities — which depend on each
-        segment's grid — survive a round-trip bit-for-bit.
+        Each grid is adopted verbatim (series are assumed already
+        prepared), so similarities — which depend on each segment's
+        grid — match the database the segments came from bit-for-bit;
+        the sharded engine builds its shards this way.
         """
         if not payloads:
             raise EmptyDatabaseError("cannot restore a database from no segments")

@@ -2,22 +2,23 @@
 
 A database is a function of its series, parameters, and *segment
 layout*, so the on-disk format stores exactly those — set
-representations and searchers are rebuilt on load (they are derived
-state, and rebuilding guarantees a loaded database is byte-for-byte
-equivalent, a property the tests assert via :meth:`verify_integrity`
-and query equivalence).  Buffered (not yet flushed) series are stored
-too and re-buffered on load.
+representations, searchers and packed bitsets are rebuilt on load (they
+are derived state, and rebuilding guarantees a loaded database is
+byte-for-byte equivalent, a property the tests assert via
+:meth:`verify_integrity` and query equivalence).  Buffered (not yet
+flushed) series are stored too and re-buffered on load.
 
-**Format version 4** (the default, DESIGN.md §12) is built for crash
-safety:
+There is one archive format, **version 4** (DESIGN.md §12), built for
+crash safety:
 
-- a single-file container: an 8-byte magic, one ``.npz`` payload per
-  segment **each followed by a CRC32 footer**, a buffer payload, a JSON
-  manifest, and a fixed trailer locating the manifest;
+- a single-file container: an 8-byte magic, one uncompressed ``.npz``
+  payload (``series`` + ``lengths``) per segment **each followed by a
+  CRC32 footer**, a buffer payload, a JSON manifest, and a fixed
+  trailer locating the manifest;
 - every write goes to a temp file that is fsynced and then
   ``os.replace``-d over the target, so an interrupted save never
   clobbers the previous good archive;
-- :func:`load_database` verifies every checksum and **quarantines**
+- :func:`load_database` verifies checksums and **quarantines**
   corrupt segment payloads (recorded on
   ``db.catalog.quarantined``, surfaced in query results and the
   ``sts3_quarantined_segments`` gauge) instead of raising — only a
@@ -28,11 +29,10 @@ safety:
   replay exactly the tail of the WAL (see :mod:`repro.core.wal` and
   docs/durability.md).
 
-Earlier formats still load: v1 (pre-segmentation single grid), v2
-(segment table), v3 (v2 + optional packed bitmaps) are one-``.npz``
-archives; ``save_database(..., format_version=3)`` still writes one
-(now atomically).  Transient I/O errors on either path are retried
-with capped, jittered, deterministically-seeded exponential backoff
+Pre-v4 (one-``.npz``) archives are not read: a file without the v4
+magic is a :class:`~repro.exceptions.DatasetError` whose message gives
+the re-save recipe.  Transient I/O errors are retried with capped,
+jittered, deterministically-seeded exponential backoff
 (``sts3_io_retries_total``).
 """
 
@@ -54,7 +54,6 @@ import numpy as np
 from .. import faults
 from ..exceptions import DatasetError
 from ..obs import get_registry, span
-from .bitset import BitsetStore
 from .cache import QueryResultCache
 from .catalog import QuarantineRecord
 from .database import STS3Database
@@ -71,9 +70,6 @@ __all__ = [
 
 #: bumped on any incompatible change to the archive layout.
 FORMAT_VERSION = 4
-
-#: versions this loader understands.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
 
 #: first 8 bytes of a v4 archive.
 DB_MAGIC = b"STS3DB4\n"
@@ -166,10 +162,8 @@ def _unpack(
     out = []
     for row, length in zip(matrix, lengths.tolist()):
         flat = row[: length * n_dims]
-        if n_dims == 1:
-            out.append(flat.copy() if copy else flat)
-        else:
-            out.append(flat.reshape(length, n_dims))
+        item = flat if n_dims == 1 else flat.reshape(length, n_dims)
+        out.append(item.copy() if copy else item)
     return out
 
 
@@ -214,19 +208,15 @@ def _header_params(db: STS3Database) -> dict:
     }
 
 
-def _npz_bytes(compressed: bool = True, **arrays) -> bytes:
+def _npz_bytes(**arrays) -> bytes:
     """``.npz`` bytes for ``arrays``.
 
-    v4 payloads are written *uncompressed* (STORED zip members): that is
+    Payloads are written *uncompressed* (STORED zip members): that is
     what lets the mmap loader hand out :func:`np.frombuffer` views
-    straight over the archive instead of inflating copies.  v3 keeps
-    compression — it is a single monolithic blob with no mapped path.
+    straight over the archive instead of inflating copies.
     """
     buf = io.BytesIO()
-    if compressed:
-        np.savez_compressed(buf, **arrays)
-    else:
-        np.savez(buf, **arrays)
+    np.savez(buf, **arrays)
     return buf.getvalue()
 
 
@@ -258,19 +248,12 @@ def _atomic_write(path: Path, writer, op: str) -> None:
 def save_database(
     db: STS3Database,
     path: str | Path,
-    pack_bitsets: bool = False,
-    format_version: int | None = None,
     checkpoint_wal: bool = True,
     extras: dict | None = None,
 ) -> None:
     """Write ``db`` to ``path`` atomically (temp file + ``os.replace``).
 
-    The default writes format v4 (checksummed, crash-safe);
-    ``format_version=3`` keeps the legacy single-``.npz`` layout for
-    downgrade paths.  With ``pack_bitsets=True`` every segment's packed
-    bitset (built on demand; segments whose memory gate declines are
-    skipped) is archived alongside the series, so a loaded database
-    answers its first popcount-kernel query without re-packing.
+    The archive is format v4: checksummed and crash-safe.
 
     If the database has an attached write-ahead log, a successful save
     is a *checkpoint*: the archive records the WAL position it covers
@@ -282,11 +265,6 @@ def save_database(
     the sharded engine uses to checkpoint its global-id tables inside
     each shard archive (docs/sharding.md).
     """
-    version = FORMAT_VERSION if format_version is None else int(format_version)
-    if version not in (3, 4):
-        raise DatasetError(
-            f"can only write format versions 3 and 4, not {format_version!r}"
-        )
     path = Path(path)
     wal = getattr(db, "wal", None)
     if wal is not None:
@@ -297,12 +275,9 @@ def save_database(
         series=len(all_series),
         segments=len(db.catalog.segments),
         buffered=len(db.buffer.series),
-        version=version,
+        version=FORMAT_VERSION,
     ):
-        if version == 3:
-            _save_v3(db, path, pack_bitsets, extras)
-        else:
-            _save_v4(db, path, pack_bitsets, extras)
+        _write_archive(db, path, extras)
     db.wal_seq = _header_params(db)["wal_seq"]
     if wal is not None and checkpoint_wal:
         wal.checkpoint()
@@ -311,46 +286,7 @@ def save_database(
     ).inc(op="save")
 
 
-def _save_v3(
-    db: STS3Database, path: Path, pack_bitsets: bool, extras: dict | None = None
-) -> None:
-    """Legacy one-``.npz`` archive (format v3), written atomically."""
-    if not str(path).endswith(".npz"):
-        path = path.with_name(path.name + ".npz")  # np.savez compatibility
-    header = {"format_version": 3, **_header_params(db)}
-    if extras:
-        header["extras"] = extras
-    header["segments"] = [_segment_entry(seg) for seg in db.catalog.segments]
-    bitset_arrays: dict[str, np.ndarray] = {}
-    if pack_bitsets:
-        packed_positions = []
-        for position, segment in enumerate(db.catalog.segments):
-            store = segment.bitset_store()
-            if store is None:
-                continue
-            packed_positions.append(position)
-            bitset_arrays[f"bitset_vocab_{position}"] = store.vocab
-            bitset_arrays[f"bitset_matrix_{position}"] = store.matrix
-        header["bitset_segments"] = packed_positions
-    matrix, lengths, n_dims = _pack(db.catalog.all_series())
-    buf_matrix, buf_lengths, _ = _pack(db.buffer.series)
-    blob = _npz_bytes(
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
-        n_dims=np.int64(n_dims),
-        series=matrix,
-        lengths=lengths,
-        buffer_series=buf_matrix,
-        buffer_lengths=buf_lengths,
-        **bitset_arrays,
-    )
-    _atomic_write(
-        path, lambda fh: faults.fault_write(fh, blob, "persist.payload.write"), "save"
-    )
-
-
-def _save_v4(
-    db: STS3Database, path: Path, pack_bitsets: bool, extras: dict | None = None
-) -> None:
+def _write_archive(db: STS3Database, path: Path, extras: dict | None = None) -> None:
     """Checksummed container: per-segment payloads + manifest + trailer."""
     segment_entries = []
     blobs: list[bytes] = []
@@ -358,20 +294,12 @@ def _save_v4(
     for segment in db.catalog.segments:
         entry = _segment_entry(segment)
         matrix, lengths, n_dims = _pack(segment.series)
-        arrays = {"series": matrix, "lengths": lengths}
-        entry["bitset"] = False
-        if pack_bitsets:
-            store = segment.bitset_store()
-            if store is not None:
-                arrays["bitset_vocab"] = store.vocab
-                arrays["bitset_matrix"] = store.matrix
-                entry["bitset"] = True
-        blob = _npz_bytes(compressed=False, **arrays)
+        blob = _npz_bytes(series=matrix, lengths=lengths)
         entry["payload"] = {"length": len(blob), "crc32": crc32(blob)}
         segment_entries.append(entry)
         blobs.append(blob)
     buf_matrix, buf_lengths, _ = _pack(db.buffer.series)
-    buffer_blob = _npz_bytes(compressed=False, series=buf_matrix, lengths=buf_lengths)
+    buffer_blob = _npz_bytes(series=buf_matrix, lengths=buf_lengths)
     buffer_entry = {
         "size": len(db.buffer.series),
         "payload": {"length": len(buffer_blob), "crc32": crc32(buffer_blob)},
@@ -382,7 +310,7 @@ def _save_v4(
         entry["payload"]["offset"] = cursor
         cursor += len(blob) + _FOOTER.size
     manifest = {
-        "format_version": 4,
+        "format_version": FORMAT_VERSION,
         **_header_params(db),
         "n_dims": n_dims,
         "segments": segment_entries,
@@ -414,15 +342,14 @@ def load_database(
 ) -> STS3Database:
     """Rebuild a database previously written by :func:`save_database`.
 
-    v4 archives are checksum-verified; a segment payload that fails its
+    Archives are checksum-verified; a segment payload that fails its
     CRC is *quarantined* — the rest of the database loads, the loss is
     recorded on ``db.catalog.quarantined``, and queries degrade
     gracefully (``complete=False``) instead of raising.  Only an
-    unreadable manifest (nothing trustworthy to load) raises
-    :class:`~repro.exceptions.DatasetError`.
+    unreadable manifest (nothing trustworthy to load) or a file that is
+    not a v4 archive raises :class:`~repro.exceptions.DatasetError`.
 
-    With ``mmap=True`` (v4 archives only; earlier formats silently fall
-    back to the eager path) segment payloads stay on disk: each segment
+    With ``mmap=True`` segment payloads stay on disk: each segment
     is restored from its manifest row alone and maps its series as
     zero-copy buffer views on first touch.  Checksum verification moves
     with the payload — the manifest, trailer, and per-payload footers
@@ -435,7 +362,7 @@ def load_database(
     :class:`STS3Database`).
     """
     with span("persist.load", mmap=mmap):
-        db = _with_retries("load", lambda: _load_database(path, mmap))
+        db = _with_retries("load", lambda: _open_archive(path, mmap))
     if cache_bytes:
         db.result_cache = QueryResultCache(int(cache_bytes))
     get_registry().counter(
@@ -444,24 +371,92 @@ def load_database(
     return db
 
 
-def _load_database(path: str | Path, mmap: bool = False) -> STS3Database:
+def _open_archive(path: str | Path, mmap: bool) -> STS3Database:
+    """The one v4 loader: manifest, database shell, then every segment.
+
+    A segment is adopted eagerly (``mmap=False``: full CRC now, a bad
+    payload quarantined now) or lazily (``mmap=True``: bounds and
+    footer now, full CRC at first touch via :class:`_MappedPayload`).
+    """
     path = Path(path)
+    faults.fault_point("persist.read")
+    data = _archive_data(path, mmap)
+    manifest = _read_manifest(path, data)
+    n_dims = int(manifest["n_dims"])
+    epsilon = manifest["epsilon"]
+    if manifest["epsilon_is_tuple"]:
+        epsilon = tuple(epsilon)
+
+    db = STS3Database._assembly_shell(
+        sigma=manifest["sigma"],
+        epsilon=epsilon,
+        normalize=manifest["normalize"],
+        value_padding=manifest["value_padding"],
+        default_scale=manifest["default_scale"],
+        default_max_scale=manifest["default_max_scale"],
+    )
+    quarantined: list[QuarantineRecord] = []
+    for position, entry in enumerate(manifest["segments"]):
+        name, size = f"segment-{position}", int(entry["size"])
+        payload = entry["payload"]
+        blob, problem = _payload_blob(data, payload, full_crc=not mmap)
+        if problem is None and not mmap:
+            series, problem = _decode_series(blob, n_dims, size, copy=True)
+        if problem is not None:
+            quarantined.append(QuarantineRecord(name, size, problem))
+            continue
+        if mmap:
+            segment = db.catalog.adopt_lazy(
+                _segment_grid(entry), size,
+                _MappedPayload(path, payload, n_dims, size, name),
+                payload_bytes=int(payload["length"]),
+            )
+        else:
+            segment = db.catalog.adopt(series, _segment_grid(entry))
+        segment.payload_crc32 = int(payload["crc32"])
+    if not db.catalog.segments:
+        raise DatasetError(
+            f"{path}: every segment payload failed verification "
+            f"({'; '.join(f'{q.name}: {q.reason}' for q in quarantined)})"
+        )
+    db._finish_assembly(manifest["buffer_capacity"])
+    db.rebuild_count = manifest["rebuild_count"]
+    db.wal_seq = int(manifest.get("wal_seq", 0))
+    for record in quarantined:
+        db.catalog.quarantine(record)
+
+    # The buffer is small and mutable (adds re-transform it), so it
+    # loads eagerly even on the mapped path.
+    buffer_entry = manifest["buffer_payload"]
+    size = int(buffer_entry["size"])
+    blob, problem = _payload_blob(data, buffer_entry["payload"])
+    if problem is None:
+        buffered, problem = _decode_series(blob, n_dims, size, copy=True)
+    if problem is not None:
+        db.catalog.quarantine(QuarantineRecord("buffer", size, problem))
+    else:
+        for series_item in buffered:
+            db.buffer.add(series_item)
+    db.archive_extras = manifest.get("extras", {})
+    return db
+
+
+def _archive_data(path: Path, mmap: bool):
+    """The archive's bytes (a read-only map with ``mmap``), magic checked."""
     if not path.exists():
         raise DatasetError(f"no database archive at {path}")
-    faults.fault_point("persist.read")
-    if mmap:
-        with open(path, "rb") as fh:
-            magic = fh.read(len(DB_MAGIC))
-        if magic == DB_MAGIC:
-            return _load_v4_mapped(path)
-        return _load_legacy(path)  # pre-v4: nothing addressable to map
-    data = path.read_bytes()
-    if data[: len(DB_MAGIC)] == DB_MAGIC:
-        return _load_v4(path, data)
-    return _load_legacy(path)
-
-
-# -- format v4 ----------------------------------------------------------
+    with open(path, "rb") as fh:
+        if fh.read(len(DB_MAGIC)) != DB_MAGIC:
+            raise DatasetError(
+                f"{path} is not a v4 STS3 database archive; pre-v4 (.npz) "
+                "archives are no longer read.  Open and re-save it with an "
+                "earlier build that still reads them: "
+                "save_database(load_database(old_path), new_path)"
+            )
+        if not mmap:
+            fh.seek(0)
+            return fh.read()
+    return np.memmap(path, dtype=np.uint8, mode="r")
 
 
 def _read_manifest(path: Path, data) -> dict:
@@ -480,144 +475,52 @@ def _read_manifest(path: Path, data) -> dict:
         manifest = json.loads(blob.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetError(f"{path}: v4 manifest is not valid JSON") from exc
-    if manifest.get("format_version") not in SUPPORTED_VERSIONS:
+    if manifest.get("format_version") != FORMAT_VERSION:
         raise DatasetError(
             f"{path}: unsupported format version "
-            f"{manifest.get('format_version')!r} (expected one of "
-            f"{SUPPORTED_VERSIONS})"
+            f"{manifest.get('format_version')!r} (expected {FORMAT_VERSION})"
         )
     return manifest
 
 
-def _payload_blob(data: bytes, entry: dict) -> tuple[bytes | None, str | None]:
-    """The verified blob for a manifest payload entry, or a problem."""
-    payload = entry["payload"]
+def _payload_blob(data, payload: dict, full_crc: bool = True) -> tuple:
+    """``(blob, problem)`` for one manifest payload; exactly one is None.
+
+    Bounds and the CRC footer are always checked against the manifest;
+    ``full_crc=False`` skips the whole-blob CRC, which the mapped open
+    defers to first touch (over a memmap the blob is then a view that
+    has not been read).
+    """
     offset, length = int(payload["offset"]), int(payload["length"])
     end = offset + length
     if end + _FOOTER.size > len(data):
         return None, "payload extends past end of archive"
-    blob = data[offset:end]
     (footer,) = _FOOTER.unpack_from(data, end)
-    actual = crc32(blob)
-    if actual != int(payload["crc32"]) or actual != footer:
+    blob = data[offset:end]
+    if footer != int(payload["crc32"]) or (full_crc and crc32(blob) != footer):
         return None, "checksum mismatch"
     return blob, None
 
 
-def _load_v4(path: Path, data: bytes) -> STS3Database:
-    manifest = _read_manifest(path, data)
-    n_dims = int(manifest["n_dims"])
-    epsilon = manifest["epsilon"]
-    if manifest["epsilon_is_tuple"]:
-        epsilon = tuple(epsilon)
-
-    survivors: list[tuple[list[np.ndarray], Grid]] = []
-    survivor_meta: list[tuple[int, dict, dict | None]] = []  # (pos, entry, bitset)
-    quarantined: list[QuarantineRecord] = []
-    for position, entry in enumerate(manifest["segments"]):
-        name = f"segment-{position}"
-        blob, problem = _payload_blob(data, entry)
-        if blob is not None:
-            try:
-                with np.load(io.BytesIO(blob)) as payload:
-                    series = _unpack(payload["series"], payload["lengths"], n_dims)
-                    bitset = None
-                    if entry.get("bitset"):
-                        bitset = {
-                            "vocab": payload["bitset_vocab"],
-                            "matrix": payload["bitset_matrix"],
-                        }
-            except Exception:
-                blob, problem = None, "unreadable payload"
-        if blob is None:
-            quarantined.append(
-                QuarantineRecord(name, int(entry["size"]), problem)
-            )
-            continue
-        if len(series) != int(entry["size"]):
-            quarantined.append(
-                QuarantineRecord(
-                    name,
-                    int(entry["size"]),
-                    f"payload holds {len(series)} series, manifest says "
-                    f"{entry['size']}",
-                )
-            )
-            continue
-        survivors.append((series, _segment_grid(entry)))
-        survivor_meta.append((position, entry, bitset))
-    if not survivors:
-        raise DatasetError(
-            f"{path}: every segment payload failed verification "
-            f"({'; '.join(f'{q.name}: {q.reason}' for q in quarantined)})"
+def _decode_series(blob, n_dims: int, size: int, copy: bool) -> tuple:
+    """``(series, problem)`` for a verified payload blob; one is None."""
+    try:
+        arrays = _npz_views(blob)
+        series = _unpack(
+            arrays["series"], np.asarray(arrays["lengths"]), n_dims, copy=copy
         )
-
-    db = STS3Database.from_segments(
-        survivors,
-        sigma=manifest["sigma"],
-        epsilon=epsilon,
-        normalize=manifest["normalize"],
-        value_padding=manifest["value_padding"],
-        buffer_capacity=manifest["buffer_capacity"],
-        default_scale=manifest["default_scale"],
-        default_max_scale=manifest["default_max_scale"],
-    )
-    db.rebuild_count = manifest["rebuild_count"]
-    db.wal_seq = int(manifest.get("wal_seq", 0))
-    for segment, (position, entry, bitset) in zip(db.catalog.segments, survivor_meta):
-        segment.payload_crc32 = int(entry["payload"]["crc32"])
-        if bitset is not None:
-            _attach_bitset(segment, bitset["vocab"], bitset["matrix"], path)
-    for record in quarantined:
-        db.catalog.quarantine(record)
-
-    buffer_entry = manifest["buffer_payload"]
-    blob, problem = _payload_blob(data, buffer_entry)
-    buffered: list[np.ndarray] = []
-    if blob is None:
-        db.catalog.quarantine(
-            QuarantineRecord("buffer", int(buffer_entry["size"]), problem)
-        )
-    else:
-        try:
-            with np.load(io.BytesIO(blob)) as payload:
-                buffered = _unpack(payload["series"], payload["lengths"], n_dims)
-        except Exception:
-            db.catalog.quarantine(
-                QuarantineRecord(
-                    "buffer", int(buffer_entry["size"]), "unreadable payload"
-                )
-            )
-    for series_item in buffered:
-        db.buffer.add(series_item)
-    db.archive_extras = manifest.get("extras", {})
-    return db
-
-
-def _attach_bitset(segment, vocab, matrix, path) -> None:
-    lengths = np.asarray([len(s) for s in segment.sets], dtype=np.int64)
-    # from_parts validates the matrix shape against the rebuilt sets,
-    # so a truncated archive fails here instead of miscounting.
-    segment._bitset = BitsetStore.from_parts(vocab, matrix, lengths)
-    segment._bitset_decided = True
-    get_registry().gauge(
-        "sts3_bitset_bytes_resident",
-        "packed bitset bytes, by segment and residency",
-    ).set(
-        segment._bitset.nbytes,
-        segment=str(segment.segment_id),
-        state="resident",
-    )
-
-
-# -- format v4, mapped (zero-copy) ---------------------------------------
+    except Exception:
+        return None, "unreadable payload"
+    if len(series) != size:
+        return None, f"payload holds {len(series)} series, manifest says {size}"
+    return series, None
 
 
 class _BufferIO(io.RawIOBase):
     """A seekable read-only file over a memoryview (no copies).
 
     ``zipfile`` needs a file object to walk the npz directory; wrapping
-    the mapped blob here lets it read central-directory records without
+    the blob here lets it read central-directory records without
     materializing the payload.
     """
 
@@ -655,7 +558,7 @@ class _BufferIO(io.RawIOBase):
 def _npy_view(buf: memoryview) -> np.ndarray:
     """A zero-copy ndarray over the raw bytes of one ``.npy`` member."""
     if bytes(buf[:6]) != b"\x93NUMPY":
-        raise DatasetError("mapped npz member is not an npy array")
+        raise DatasetError("npz member is not an npy array")
     major = buf[6]
     if major == 1:
         (hlen,) = struct.unpack_from("<H", buf, 8)
@@ -668,7 +571,7 @@ def _npy_view(buf: memoryview) -> np.ndarray:
         bytes(buf[header_start:data_start]).decode("latin1")
     )
     if header.get("fortran_order"):
-        raise DatasetError("mapped loader does not support fortran-order arrays")
+        raise DatasetError("archive loader does not support fortran-order arrays")
     dtype = np.dtype(header["descr"])
     shape = header["shape"]
     count = int(np.prod(shape)) if shape else 1
@@ -680,7 +583,7 @@ def _npy_view(buf: memoryview) -> np.ndarray:
 def _npz_views(blob) -> dict[str, np.ndarray]:
     """Arrays of an (uncompressed) npz blob as views over its buffer.
 
-    STORED members — what :func:`_npz_bytes` writes for v4 — become
+    STORED members — what :func:`_npz_bytes` writes — become
     :func:`np.frombuffer` views at ``header_offset + 30 + name_len +
     extra_len`` (the zip local-header layout).  DEFLATED members (old
     archives saved compressed) fall back to an inflated copy, which
@@ -704,231 +607,37 @@ def _npz_views(blob) -> dict[str, np.ndarray]:
     return arrays
 
 
-def _mapped_payload_problem(data, entry: dict) -> str | None:
-    """Structural verification of one payload *without* reading its bytes.
-
-    Bounds and the CRC footer (8 bytes) are checked against the
-    manifest; the expensive whole-blob CRC is deferred to first touch
-    (:class:`_MappedPayload`).  Damage detectable here quarantines at
-    open, exactly like the eager loader.
-    """
-    payload = entry["payload"]
-    offset, length = int(payload["offset"]), int(payload["length"])
-    end = offset + length
-    if end + _FOOTER.size > len(data):
-        return "payload extends past end of archive"
-    (footer,) = _FOOTER.unpack_from(data, end)
-    if footer != int(payload["crc32"]):
-        return "checksum mismatch"
-    return None
-
-
 class _MappedPayload:
-    """Zero-arg loader over one mapped v4 payload (:meth:`Segment.lazy`).
+    """Zero-arg loader over one mapped payload (:meth:`Segment.lazy`).
 
     Holds only the archive path and payload coordinates — the memmap is
     opened on first touch.
     """
 
-    def __init__(self, path, offset, length, crc, n_dims, size, has_bitset, name):
+    def __init__(self, path, payload: dict, n_dims: int, size: int, name: str):
         self.path = str(path)
-        self.offset = int(offset)
-        self.length = int(length)
-        self.crc = int(crc)
-        self.n_dims = int(n_dims)
-        self.size = int(size)
-        self.has_bitset = bool(has_bitset)
+        self.payload = payload
+        self.n_dims = n_dims
+        self.size = size
         self.name = name
         self._mmap = None
 
-    def __call__(self) -> dict:
+    def __call__(self) -> list[np.ndarray]:
         if self._mmap is None:
             self._mmap = np.memmap(self.path, dtype=np.uint8, mode="r")
-        blob = self._mmap[self.offset : self.offset + self.length]
         # First-touch verification: the one full read the mapped path
         # cannot avoid, paid exactly once per touched segment.
-        if crc32(blob) != self.crc:
-            raise DatasetError(
-                f"{self.path}: payload {self.name} fails its checksum "
-                "on first touch"
+        blob, problem = _payload_blob(self._mmap, self.payload)
+        if problem is None:
+            series, problem = _decode_series(
+                blob, self.n_dims, self.size, copy=False
             )
-        arrays = _npz_views(blob)
-        series = _unpack(
-            arrays["series"], np.asarray(arrays["lengths"]), self.n_dims,
-            copy=False,
-        )
-        if len(series) != self.size:
-            raise DatasetError(
-                f"{self.path}: payload {self.name} holds {len(series)} "
-                f"series, manifest says {self.size}"
-            )
-        payload: dict = {"series": series}
-        if self.has_bitset:
-            payload["bitset"] = {
-                "vocab": arrays["bitset_vocab"],
-                "matrix": arrays["bitset_matrix"],
-            }
-        return payload
-
-
-def _load_v4_mapped(path: Path) -> STS3Database:
-    """Zero-copy cold start: manifest now, payload bytes on first touch."""
-    data = np.memmap(path, dtype=np.uint8, mode="r")
-    manifest = _read_manifest(path, data)
-    n_dims = int(manifest["n_dims"])
-    epsilon = manifest["epsilon"]
-    if manifest["epsilon_is_tuple"]:
-        epsilon = tuple(epsilon)
-
-    shell = STS3Database._assembly_shell(
-        sigma=manifest["sigma"],
-        epsilon=epsilon,
-        normalize=manifest["normalize"],
-        value_padding=manifest["value_padding"],
-        default_scale=manifest["default_scale"],
-        default_max_scale=manifest["default_max_scale"],
-    )
-    quarantined: list[QuarantineRecord] = []
-    for position, entry in enumerate(manifest["segments"]):
-        name = f"segment-{position}"
-        problem = _mapped_payload_problem(data, entry)
         if problem is not None:
-            quarantined.append(
-                QuarantineRecord(name, int(entry["size"]), problem)
-            )
-            continue
-        payload = entry["payload"]
-        loader = _MappedPayload(
-            path, payload["offset"], payload["length"], payload["crc32"],
-            n_dims, entry["size"], bool(entry.get("bitset")), name,
-        )
-        segment = shell.catalog.adopt_lazy(
-            _segment_grid(entry), int(entry["size"]), loader,
-            payload_bytes=int(payload["length"]),
-        )
-        segment.payload_crc32 = int(payload["crc32"])
-    if not shell.catalog.segments:
-        raise DatasetError(
-            f"{path}: every segment payload failed verification "
-            f"({'; '.join(f'{q.name}: {q.reason}' for q in quarantined)})"
-        )
-    shell._finish_assembly(manifest["buffer_capacity"])
-    shell.rebuild_count = manifest["rebuild_count"]
-    shell.wal_seq = int(manifest.get("wal_seq", 0))
-    for record in quarantined:
-        shell.catalog.quarantine(record)
-
-    # The buffer is small and mutable (adds re-transform it), so it
-    # loads eagerly even on the mapped path.
-    buffer_entry = manifest["buffer_payload"]
-    blob, problem = _payload_blob(data, buffer_entry)
-    buffered: list[np.ndarray] = []
-    if blob is None:
-        shell.catalog.quarantine(
-            QuarantineRecord("buffer", int(buffer_entry["size"]), problem)
-        )
-    else:
-        try:
-            with np.load(io.BytesIO(bytes(blob))) as payload:
-                buffered = _unpack(payload["series"], payload["lengths"], n_dims)
-        except Exception:
-            shell.catalog.quarantine(
-                QuarantineRecord(
-                    "buffer", int(buffer_entry["size"]), "unreadable payload"
-                )
-            )
-    for series_item in buffered:
-        shell.buffer.add(series_item)
-    shell.archive_extras = manifest.get("extras", {})
-    return shell
-
-
-# -- formats v1-v3 ------------------------------------------------------
-
-
-def _load_legacy(path: Path) -> STS3Database:
-    with np.load(path) as archive:
-        try:
-            header = json.loads(bytes(archive["header"]).decode())
-        except (KeyError, json.JSONDecodeError) as exc:
-            raise DatasetError(f"{path} is not an STS3 database archive") from exc
-        if header.get("format_version") not in SUPPORTED_VERSIONS:
             raise DatasetError(
-                f"{path}: unsupported format version "
-                f"{header.get('format_version')!r} (expected one of "
-                f"{SUPPORTED_VERSIONS})"
+                f"{self.path}: payload {self.name} fails verification on "
+                f"first touch ({problem})"
             )
-        n_dims = int(archive["n_dims"])
-        series = _unpack(archive["series"], archive["lengths"], n_dims)
-        buffered = _unpack(archive["buffer_series"], archive["buffer_lengths"], n_dims)
-        bitsets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for position in header.get("bitset_segments", []):
-            try:
-                bitsets[int(position)] = (
-                    archive[f"bitset_vocab_{position}"],
-                    archive[f"bitset_matrix_{position}"],
-                )
-            except KeyError as exc:
-                raise DatasetError(
-                    f"{path}: header names a packed bitset for segment "
-                    f"{position} but the arrays are missing"
-                ) from exc
-
-    epsilon = header["epsilon"]
-    if header["epsilon_is_tuple"]:
-        epsilon = tuple(epsilon)
-
-    if header["format_version"] == 1 or "segments" not in header:
-        # Legacy single-grid archive: constructing fresh reproduces the
-        # pre-segmentation engine exactly (one bootstrap segment with a
-        # tight bound + padding).  Stored series are already normalized;
-        # construct raw then restore the flag.
-        db = STS3Database(
-            series,
-            sigma=header["sigma"],
-            epsilon=epsilon,
-            normalize=False,
-            value_padding=header["value_padding"],
-            buffer_capacity=header["buffer_capacity"],
-            default_scale=header["default_scale"],
-            default_max_scale=header["default_max_scale"],
-        )
-        db.normalize = header["normalize"]
-    else:
-        payloads = []
-        cursor = 0
-        for entry in header["segments"]:
-            size = int(entry["size"])
-            payloads.append((series[cursor : cursor + size], _segment_grid(entry)))
-            cursor += size
-        if cursor != len(series):
-            raise DatasetError(
-                f"{path}: segment table covers {cursor} series, archive "
-                f"holds {len(series)}"
-            )
-        db = STS3Database.from_segments(
-            payloads,
-            sigma=header["sigma"],
-            epsilon=epsilon,
-            normalize=header["normalize"],
-            value_padding=header["value_padding"],
-            buffer_capacity=header["buffer_capacity"],
-            default_scale=header["default_scale"],
-            default_max_scale=header["default_max_scale"],
-        )
-    db.rebuild_count = header["rebuild_count"]
-    db.wal_seq = int(header.get("wal_seq", 0))
-    for position, (vocab, matrix) in bitsets.items():
-        if not 0 <= position < len(db.catalog.segments):
-            raise DatasetError(
-                f"{path}: packed bitset refers to segment {position}, "
-                f"archive restored {len(db.catalog.segments)} segments"
-            )
-        _attach_bitset(db.catalog.segments[position], vocab, matrix, path)
-    for series_item in buffered:
-        db.buffer.add(series_item)
-    db.archive_extras = header.get("extras", {})
-    return db
+        return series
 
 
 # -- recovery -----------------------------------------------------------
@@ -1035,55 +744,38 @@ def recover_database(
 def verify_archive(path: str | Path, wal_dir: str | Path | None = None) -> dict:
     """Offline integrity report for ``sts3 verify`` / ``sts3 inspect``.
 
-    Checks the archive's manifest and every payload checksum (v4) or
-    basic readability (v1-v3), then scans the WAL for frame damage and
-    replay lag (records past the archive's ``wal_seq``).  Never builds
-    the database; raises :class:`~repro.exceptions.DatasetError` only
-    when the file is entirely unreadable.
+    Checks the archive's manifest and every payload checksum, then
+    scans the WAL for frame damage and replay lag (records past the
+    archive's ``wal_seq``).  Never builds the database; raises
+    :class:`~repro.exceptions.DatasetError` only when the file is not a
+    readable v4 archive.
     """
     path = Path(path)
     wal_dir = default_wal_dir(path) if wal_dir is None else Path(wal_dir)
-    if not path.exists():
-        raise DatasetError(f"no database archive at {path}")
-    data = path.read_bytes()
-    report: dict = {"path": str(path), "payloads": [], "problems": []}
-    if data[: len(DB_MAGIC)] == DB_MAGIC:
-        manifest = _read_manifest(path, data)
-        report["format_version"] = 4
-        report["wal_seq"] = int(manifest.get("wal_seq", 0))
-        entries = [
-            (f"segment-{i}", e) for i, e in enumerate(manifest["segments"])
-        ] + [("buffer", manifest["buffer_payload"])]
-        for name, entry in entries:
-            blob, problem = _payload_blob(data, entry)
-            status = "ok" if problem is None else problem
-            report["payloads"].append(
-                {
-                    "name": name,
-                    "n_series": int(entry["size"]),
-                    "crc32": int(entry["payload"]["crc32"]),
-                    "status": status,
-                }
-            )
-            if problem is not None:
-                report["problems"].append(f"{name}: {problem}")
-    else:
-        try:
-            with np.load(path) as archive:
-                header = json.loads(bytes(archive["header"]).decode())
-        except Exception as exc:
-            raise DatasetError(f"{path} is not an STS3 database archive") from exc
-        report["format_version"] = int(header.get("format_version", 1))
-        report["wal_seq"] = int(header.get("wal_seq", 0))
-        for position, entry in enumerate(header.get("segments", [])):
-            report["payloads"].append(
-                {
-                    "name": f"segment-{position}",
-                    "n_series": int(entry["size"]),
-                    "crc32": None,
-                    "status": "unchecksummed (pre-v4 archive)",
-                }
-            )
+    data = _archive_data(path, mmap=False)
+    manifest = _read_manifest(path, data)
+    report: dict = {
+        "path": str(path),
+        "format_version": FORMAT_VERSION,
+        "wal_seq": int(manifest.get("wal_seq", 0)),
+        "payloads": [],
+        "problems": [],
+    }
+    entries = [
+        (f"segment-{i}", e) for i, e in enumerate(manifest["segments"])
+    ] + [("buffer", manifest["buffer_payload"])]
+    for name, entry in entries:
+        _, problem = _payload_blob(data, entry["payload"])
+        report["payloads"].append(
+            {
+                "name": name,
+                "n_series": int(entry["size"]),
+                "crc32": int(entry["payload"]["crc32"]),
+                "status": "ok" if problem is None else problem,
+            }
+        )
+        if problem is not None:
+            report["problems"].append(f"{name}: {problem}")
     records, wal_report = scan_wal(wal_dir)
     replay_lag = sum(1 for r in records if r["seq"] > report["wal_seq"])
     report["wal"] = {

@@ -165,9 +165,10 @@ class Segment:
     ) -> "Segment":
         """A segment whose payload stays on disk until first touch.
 
-        ``loader`` is a zero-arg callable returning ``{"series": [...],
-        "bitset": {"vocab", "matrix"} | absent}`` — persistence passes a
-        checksum-verifying view over the mapped v4 archive.  Until the
+        ``loader`` is a zero-arg callable returning the segment's series
+        — persistence passes a checksum-verifying view over the mapped
+        archive.  Derived state (sets, index, packed bitset) is rebuilt
+        from those series, as on an eager load.  Until the
         first query (or any series/sets access) materializes it, the
         segment costs only its grid and manifest row: ``len`` and
         :meth:`memory_stats` never trigger the load.
@@ -227,27 +228,9 @@ class Segment:
                 return
             with span("segment.materialize", segment=self.segment_id,
                       series=self._size):
-                payload = self._loader()
-                series = payload["series"]
+                series = self._loader()
                 self._sets = [transform(s, self.grid) for s in series]
                 count_transforms(len(series), "load")
-                bitset = payload.get("bitset")
-                if bitset is not None and not self._bitset_decided:
-                    lengths = np.asarray(
-                        [s.size for s in self._sets], dtype=np.int64
-                    )
-                    self._bitset = BitsetStore.from_parts(
-                        bitset["vocab"], bitset["matrix"], lengths
-                    )
-                    get_registry().gauge(
-                        "sts3_bitset_bytes_resident",
-                        "packed bitset bytes, by segment and residency",
-                    ).set(
-                        self._bitset.nbytes,
-                        segment=str(self.segment_id),
-                        state="mapped",
-                    )
-                    self._bitset_decided = True
                 self._series = list(series)  # last: publishes the load
 
     def extend(self, series_item: np.ndarray) -> "Segment":

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
+from zlib import crc32
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro import STS3Database
+from repro.core.persistence import _END_MAGIC, _TRAILER
 from repro.data import ecg_stream, make_workload
 from repro.types import Workload
 
@@ -35,6 +39,23 @@ def ticking_clock(step: float):
 def answer_hex(result) -> list[tuple[int, str]]:
     """A result's neighbours as ``(index, similarity.hex())`` — bit-exact."""
     return [(n.index, float(n.similarity).hex()) for n in result.neighbors]
+
+
+def rewrite_manifest(path, mutate) -> None:
+    """Apply ``mutate(manifest)`` to a saved archive's manifest in place.
+
+    The edited manifest replaces the old one and the trailer is rewritten
+    with its new length and CRC32, so the loader sees a well-formed
+    archive that carries exactly the edited fields.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    offset, length, _, _ = _TRAILER.unpack_from(raw, len(raw) - _TRAILER.size)
+    manifest = json.loads(raw[offset : offset + length])
+    mutate(manifest)
+    blob = json.dumps(manifest).encode()
+    trailer = _TRAILER.pack(offset, len(blob), crc32(blob), _END_MAGIC)
+    path.write_bytes(raw[:offset] + blob + trailer)
 
 
 @pytest.fixture(scope="session")

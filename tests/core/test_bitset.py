@@ -141,24 +141,6 @@ class TestStoreEquivalence:
         expected = np.bincount(groups[ranks], minlength=n_groups)
         assert np.array_equal(hist, expected)
 
-    def test_from_parts_round_trip(self):
-        sets = [np.array([1, 5, 9], dtype=np.int64), np.array([5], dtype=np.int64)]
-        store = BitsetStore(sets)
-        clone = BitsetStore.from_parts(store.vocab, store.matrix, store.lengths)
-        query = np.array([5, 9, 77], dtype=np.int64)
-        assert np.array_equal(
-            clone.intersection_counts(query), store.intersection_counts(query)
-        )
-        assert clone.verify_against(sets) == []
-
-    def test_from_parts_rejects_mismatched_shapes(self):
-        sets = [np.array([1, 5, 9], dtype=np.int64)]
-        store = BitsetStore(sets)
-        with pytest.raises(ParameterError):
-            BitsetStore.from_parts(
-                store.vocab, store.matrix[:, :0], store.lengths
-            )
-
     @given(sets=database)
     @settings(max_examples=60)
     def test_vocabulary_handed_down_from_the_index(self, sets):

@@ -211,17 +211,6 @@ class TestArchiveCrashes:
         assert_bit_identical(recovered, db)
         recovered.close()
 
-    def test_interrupted_legacy_save_preserves_old_archive(self, tmp_path):
-        path = tmp_path / "db.npz"
-        db = STS3Database(base_series(), sigma=2, epsilon=0.5)
-        save_database(db, path, format_version=3)
-        with faults.inject(
-            FaultPlan([Fault("persist.payload.write", "torn")], seed=4)
-        ):
-            with pytest.raises(SimulatedCrash):
-                save_database(db, path, format_version=3)
-        assert_bit_identical(load_database(path), db)
-
     def test_enospc_during_save_is_retried(self, tmp_path):
         path = tmp_path / "db.sts3"
         db = STS3Database(base_series(), sigma=2, epsilon=0.5)

@@ -223,7 +223,7 @@ class TestMemoryBudget:
         db = _make_db(n=6)
         _seal_segments(db, 2, per=3)
         path = tmp_path / "db.sts3"
-        save_database(db, path, pack_bitsets=True)
+        save_database(db, path)
         return path
 
     def test_eviction_frees_and_refault_is_bit_identical(self, archive):

@@ -11,8 +11,7 @@ pin the contract:
 - structural damage (bad footer, truncation) quarantines at open,
   exactly like the eager loader;
 - payload corruption the open-time check cannot see raises
-  :class:`DatasetError` on first touch instead of returning garbage;
-- pre-v4 archives fall back to the eager loader.
+  :class:`DatasetError` on first touch instead of returning garbage.
 """
 
 import struct
@@ -48,7 +47,7 @@ def build_db(seed=13, n_series=50, segments=3):
 def archive(tmp_path):
     db, rng = build_db()
     path = tmp_path / "db.sts3"
-    save_database(db, path, pack_bitsets=True)
+    save_database(db, path)
     return path, db, rng
 
 
@@ -159,21 +158,12 @@ class TestDamage:
 
 
 class TestFallbackAndTransport:
-    def test_v3_archive_falls_back_to_eager(self, tmp_path):
-        db, rng = build_db()
-        path = tmp_path / "legacy.npz"
-        save_database(db, path, format_version=3)
-        loaded = load_database(path, mmap=True)  # nothing mappable: eager
-        query = rng.normal(size=LENGTH)
-        assert fingerprint_of(loaded.query(query, k=5, method="index")) == \
-            fingerprint_of(db.query(query, k=5, method="index"))
-
     def test_buffer_loads_eagerly_even_when_mapped(self, archive):
         path, db, rng = archive
         spiked = rng.normal(size=LENGTH)
         spiked[0] = 500.0  # far out of bound: stays buffered
         db.insert(spiked)
         assert len(db.buffer) > 0
-        save_database(db, path, pack_bitsets=True)
+        save_database(db, path)
         mapped = load_database(path, mmap=True)
         assert len(mapped.buffer) == len(db.buffer)

@@ -1,11 +1,16 @@
 """Tests for database save/load round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import STS3Database
-from repro.core.persistence import load_database, save_database
+from repro.cli import main
+from repro.core.persistence import load_database, save_database, verify_archive
 from repro.exceptions import DatasetError
+
+from ..conftest import rewrite_manifest
 
 
 @pytest.fixture
@@ -18,7 +23,7 @@ def db():
 
 class TestRoundTrip:
     def test_basic(self, db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         loaded = load_database(path)
         assert len(loaded) == len(db)
@@ -27,7 +32,7 @@ class TestRoundTrip:
         assert loaded.verify_integrity() == []
 
     def test_queries_identical(self, db, tmp_path):
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         loaded = load_database(path)
         rng = np.random.default_rng(1)
@@ -52,7 +57,7 @@ class TestRoundTrip:
         db.insert(spike)
         provisional = db.query(spike, k=1, method="naive").best.index
 
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         loaded = load_database(path)
         assert len(loaded.buffer) == 1
@@ -63,7 +68,7 @@ class TestRoundTrip:
         db = STS3Database(
             [rng.normal(size=(24, 2)) for _ in range(6)], sigma=2, epsilon=(0.4, 0.8)
         )
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         loaded = load_database(path)
         assert loaded.epsilon == (0.4, 0.8)
@@ -76,7 +81,7 @@ class TestRoundTrip:
         db = STS3Database(
             [rng.normal(size=n) for n in (16, 24, 32)], sigma=2, epsilon=0.5
         )
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         loaded = load_database(path)
         assert [len(s) for s in loaded.series] == [16, 24, 32]
@@ -91,7 +96,7 @@ class TestRoundTrip:
         spike[0] = 50.0
         db.insert(spike)  # buffer fills → rebuild
         assert db.rebuild_count == 1
-        path = tmp_path / "db.npz"
+        path = tmp_path / "db.sts3"
         save_database(db, path)
         assert load_database(path).rebuild_count == 1
 
@@ -99,84 +104,68 @@ class TestRoundTrip:
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DatasetError):
-            load_database(tmp_path / "nope.npz")
+            load_database(tmp_path / "nope.sts3")
 
     def test_not_an_archive(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, something=np.zeros(3))
-        with pytest.raises((DatasetError, KeyError)):
-            load_database(path)
-
-    def test_wrong_version(self, db, tmp_path):
-        import json
-
-        path = tmp_path / "db.npz"
-        save_database(db, path, format_version=3)
-        with np.load(path) as archive:
-            data = dict(archive)
-        header = json.loads(bytes(data["header"]).decode())
-        header["format_version"] = 999
-        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(path, **data)
         with pytest.raises(DatasetError):
             load_database(path)
 
+    def test_wrong_version(self, db, tmp_path):
+        path = tmp_path / "db.sts3"
+        save_database(db, path)
+
+        def bump(manifest):
+            manifest["format_version"] = 5
+
+        rewrite_manifest(path, bump)
+        for mmap in (False, True):
+            with pytest.raises(DatasetError, match="format version 5"):
+                load_database(path, mmap=mmap)
+
+    def test_pre_v4_archive_rejected(self, tmp_path, capsys):
+        """A one-``.npz`` archive (the pre-v4 layout) is refused, with
+        the re-save recipe, by every way of opening it."""
+        path = tmp_path / "old.npz"
+        header = {"format_version": 3, "sigma": 2, "epsilon": 0.5}
+        np.savez(
+            path,
+            header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+            n_dims=np.int64(1),
+            series=np.zeros((2, 8)),
+            lengths=np.array([8, 8]),
+        )
+        for mmap in (False, True):
+            with pytest.raises(DatasetError, match="re-save"):
+                load_database(path, mmap=mmap)
+        with pytest.raises(DatasetError, match="re-save"):
+            verify_archive(path)
+        assert main(["verify", str(path)]) == 2
+        assert main(["inspect", str(path)]) == 2
+        assert "pre-v4" in capsys.readouterr().err
+
+
+def two_segment_db(rng):
+    db = STS3Database(
+        [rng.normal(size=32) for _ in range(10)],
+        sigma=2, epsilon=0.5, normalize=False, buffer_capacity=2,
+    )
+    for i in range(2):  # fills the buffer → seals a delta segment
+        spike = rng.normal(size=32)
+        spike[0] = 60.0 + 10.0 * i
+        db.insert(spike)
+    assert len(db.catalog.segments) == 2
+    return db
+
 
 class TestFormatVersions:
-    """Legacy-format compatibility (headers rewritten via np.load/savez,
-    which only works on the one-npz v1-v3 layout — hence the explicit
-    ``format_version=3`` saves)."""
-
-    def _rewrite_header(self, path, mutate):
-        import json
-
-        with np.load(path) as archive:
-            data = dict(archive)
-        header = json.loads(bytes(data["header"]).decode())
-        mutate(header)
-        data["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-        np.savez(path, **data)
-
-    def test_v1_archive_loads_as_single_segment(self, db, tmp_path):
-        """A pre-segmentation (v1, no segment table) archive still loads.
-
-        The legacy path reconstructs through the constructor — one
-        bootstrap segment with a freshly-derived tight bound — which is
-        exactly what the pre-segmented engine did on load.
-        """
-        path = tmp_path / "db.npz"
-        save_database(db, path, format_version=3)
-
-        def to_v1(header):
-            header["format_version"] = 1
-            del header["segments"]
-
-        self._rewrite_header(path, to_v1)
-        loaded = load_database(path)
-        assert len(loaded.catalog.segments) == 1
-        assert len(loaded) == len(db)
-        assert loaded.verify_integrity() == []
-        rng = np.random.default_rng(6)
-        for _ in range(3):
-            query = rng.normal(size=48)
-            a = db.query(query, k=4, method="index")
-            b = loaded.query(query, k=4, method="index")
-            assert a.indices() == b.indices()
-            assert a.similarities() == b.similarities()
-
     def test_v2_archive_restores_segment_table(self, tmp_path):
+        """A multi-segment archive restores its segment table exactly."""
         rng = np.random.default_rng(7)
-        db = STS3Database(
-            [rng.normal(size=32) for _ in range(10)],
-            sigma=2, epsilon=0.5, normalize=False, buffer_capacity=2,
-        )
-        for i in range(2):  # fills the buffer → seals a delta segment
-            spike = rng.normal(size=32)
-            spike[0] = 60.0 + 10.0 * i
-            db.insert(spike)
-        assert len(db.catalog.segments) == 2
-        path = tmp_path / "db.npz"
-        save_database(db, path, format_version=3)
+        db = two_segment_db(rng)
+        path = tmp_path / "db.sts3"
+        save_database(db, path)
         loaded = load_database(path)
         assert [len(s) for s in loaded.catalog.segments] == [
             len(s) for s in db.catalog.segments
@@ -189,16 +178,56 @@ class TestFormatVersions:
             assert a.similarities() == b.similarities()
 
     def test_truncated_segment_table_rejected(self, tmp_path):
+        """A manifest that under-counts its only segment leaves nothing
+        trustworthy: the eager open raises, the mapped one at first touch."""
         rng = np.random.default_rng(8)
         db = STS3Database(
             [rng.normal(size=32) for _ in range(6)], sigma=2, epsilon=0.5
         )
-        path = tmp_path / "db.npz"
-        save_database(db, path, format_version=3)
+        path = tmp_path / "db.sts3"
+        save_database(db, path)
 
-        def corrupt(header):
-            header["segments"][0]["size"] = 3  # claims fewer than stored
+        def corrupt(manifest):
+            manifest["segments"][0]["size"] = 3  # claims fewer than stored
 
-        self._rewrite_header(path, corrupt)
-        with pytest.raises(DatasetError):
+        rewrite_manifest(path, corrupt)
+        with pytest.raises(DatasetError, match="holds 6 series, manifest says 3"):
             load_database(path)
+        mapped = load_database(path, mmap=True)
+        with pytest.raises(DatasetError, match="first touch"):
+            mapped.query(rng.normal(size=32), k=1, method="naive")
+
+
+class TestSizeMismatch:
+    """A payload whose series count disagrees with its manifest row."""
+
+    @pytest.fixture
+    def archive(self, tmp_path):
+        rng = np.random.default_rng(9)
+        db = two_segment_db(rng)
+        path = tmp_path / "db.sts3"
+        save_database(db, path)
+
+        def overcount(manifest):
+            manifest["segments"][1]["size"] = 5  # the delta holds 2
+
+        rewrite_manifest(path, overcount)
+        return path, rng
+
+    def test_eager_open_quarantines(self, archive):
+        path, rng = archive
+        loaded = load_database(path)
+        assert [len(s) for s in loaded.catalog.segments] == [10]
+        [record] = loaded.catalog.quarantined
+        assert record.name == "segment-1"
+        assert record.reason == "payload holds 2 series, manifest says 5"
+        result = loaded.query(rng.normal(size=32), k=3, method="index")
+        assert result.complete is False
+
+    def test_mapped_open_raises_at_first_touch(self, archive):
+        path, rng = archive
+        mapped = load_database(path, mmap=True)
+        assert not mapped.catalog.quarantined
+        assert len(mapped.catalog.segments[0].series) == 10
+        with pytest.raises(DatasetError, match="holds 2 series, manifest says 5"):
+            mapped.catalog.segments[1].series
