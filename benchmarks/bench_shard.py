@@ -51,6 +51,7 @@ _SUMMARY_KEYS = (
     "single_queries_per_second",
     "shards",
     "available_cores",
+    "blas_threads_per_worker",
     "fault_ok",
 )
 
@@ -133,7 +134,8 @@ def main(argv=None) -> int:
     )
     print(
         f"   shard: {record['shard_speedup']:.2f}x "
-        f"({record['shards']} shards on {record['available_cores']} cores, "
+        f"({record['shards']} shards × {record['blas_threads_per_worker']} "
+        f"BLAS thread(s) on {record['available_cores']} cores, "
         f"{record['sharded_queries_per_second']} q/s vs "
         f"{record['single_queries_per_second']} q/s)   "
         f"identical={record['identical_neighbor_lists']}"

@@ -19,7 +19,9 @@ One phase, three verdicts (docs/sharding.md):
 Wired into ``sts3 shard-bench`` and ``benchmarks/bench_shard.py`` (the
 CI gate).  The record carries ``available_cores`` so a ~1.0x run on a
 one-core machine reads as the hardware ceiling it is, not a
-regression.
+regression, and ``blas_threads_per_worker`` (what the workers report,
+None when their BLAS thread count cannot be set) so the core budget
+the run actually used — shards × BLAS threads — is on record too.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def run_shard_phase(
                 sharded_results
             )
             complete = all(r.complete for r in sharded_results)
+            blas = sharded.status()["per_shard"][0].get("blas_threads")
             record = {
                 "phase": "shard",
                 "n_series": n_series,
@@ -101,6 +104,7 @@ def run_shard_phase(
                 "k": k,
                 "shards": shards,
                 "available_cores": available_cpu_count(),
+                "blas_threads_per_worker": blas,
                 "single_seconds": round(single_seconds, 6),
                 "sharded_seconds": round(sharded_seconds, 6),
                 "shard_speedup": round(single_seconds / sharded_seconds, 3),

@@ -1091,6 +1091,7 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
     except (ReproError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    blas = record["blas_threads_per_worker"]
     print(render_table(
         ["engine", "batch (ms)", "queries/s"],
         [
@@ -1103,17 +1104,18 @@ def _cmd_shard_bench(args: argparse.Namespace) -> int:
         title=(
             f"shard lever over {args.series} series "
             f"({args.queries} queries, k={args.k}, "
-            f"{record['available_cores']} core(s) available)"
+            f"{record['available_cores']} core(s) available, "
+            f"{blas if blas is not None else '?'} BLAS thread(s) per worker)"
         ),
     ))
     print(
         f"speedup: {record['shard_speedup']:.2f}x  "
         f"bit-identical answers: {record['identical_neighbor_lists']}"
     )
-    if record["available_cores"] < record["shards"]:
+    if record["shards"] * (blas or 1) > record["available_cores"]:
         print(
-            f"note: {record['shards']} shards on "
-            f"{record['available_cores']} core(s) — shard workers are "
+            f"note: {record['shards']} shards × {blas or 1} BLAS thread(s) "
+            f"on {record['available_cores']} core(s) — shard workers are "
             f"time-slicing; speedup reflects the hardware, not the engine"
         )
     if not args.no_faults:

@@ -219,6 +219,13 @@ class ReplicaSet:
             shard=str(shard_id),
             replica=str(replica_id),
         )
+        if not self.live(shard_id):
+            # the BLAS gauge is per shard and role, not per follower
+            get_registry().discard_labels(
+                name_prefix="sts3_shard_blas_threads",
+                shard=str(shard_id),
+                role="follower",
+            )
 
     def _set_live_gauge(self) -> None:
         self._g_live.set(

@@ -33,6 +33,10 @@ as ROADMAP item 1 describes:
   the engine restarts the worker via
   :func:`~repro.core.persistence.recover_database` — WAL replay means
   no acknowledged write is lost.
+- **Cores**: one budget, cores = worker processes × BLAS threads.
+  Each primary runs ``available_cpu_count() // n_shards`` (at least 1)
+  OpenBLAS threads, each follower one; the parent, which runs no GEMM,
+  keeps its own (:mod:`repro.core.executor`).
 
 Archive layout — a directory, not a file::
 
@@ -63,6 +67,7 @@ from ..exceptions import ParameterError, ReproError
 from ..obs import get_registry, span
 from ..serve.protocol import pack_message
 from ..types import as_series
+from .executor import available_cpu_count, blas_budget
 from .grid import Bound
 from .heap import KnnHeap
 from .planner import METHODS
@@ -224,6 +229,9 @@ class ShardedDatabase:
             self.n_shards, int(manifest["hash_seed"]), int(manifest["vnodes"])
         )
         self.rpc_timeout = float(rpc_timeout)
+        #: OpenBLAS threads per primary: its share of the usable cores,
+        #: so the primaries' GEMM pools together fill them exactly.
+        self._blas_budget = blas_budget(available_cpu_count(), self.n_shards)
         #: default 1 — a sharded insert is acknowledged only once its
         #: WAL records are fsynced, which is what makes the worker-kill
         #: contract ("no acked write lost") unconditional.  Raise it to
@@ -491,8 +499,26 @@ class ShardedDatabase:
         return reply
 
     def _spawn(self, options: dict):
-        """Start one worker of either role: ``(process, conn, ready)``."""
-        return spawn_worker(self._ctx, options, max(self.rpc_timeout, 30.0))
+        """Start one worker of either role: ``(process, conn, ready)``.
+
+        Every worker is handed the primary BLAS budget; a follower
+        runs one thread until a promotion raises it to the budget."""
+        options = {**options, "blas_threads": self._blas_budget}
+        process, conn, ready = spawn_worker(
+            self._ctx, options, max(self.rpc_timeout, 30.0)
+        )
+        role = "primary" if options.get("replica_id") is None else "follower"
+        self._set_blas_gauge(options["shard_id"], role, ready)
+        return process, conn, ready
+
+    @staticmethod
+    def _set_blas_gauge(shard_id: int, role: str, status: dict) -> None:
+        threads = status.get("blas_threads")
+        if threads is not None:
+            get_registry().gauge(
+                "sts3_shard_blas_threads",
+                "OpenBLAS threads of each worker process, by shard and role",
+            ).set(threads, shard=str(shard_id), role=role)
 
     def _shutdown(self, handle) -> None:
         """Ask a worker of either role to exit; the caller reaps it next."""
@@ -609,6 +635,7 @@ class ShardedDatabase:
             if reply is None:
                 return None
             self._replicas.detach(shard_id, candidate.replica_id)
+            self._set_blas_gauge(shard_id, "primary", reply)
             self._workers[shard_id] = _WorkerHandle(
                 shard_id, candidate.process, candidate.conn, int(reply["n_series"])
             )

@@ -5,6 +5,10 @@ Every process the sharded engine starts — a shard's **primary**
 runs :func:`worker_main`, and is started, awaited and reaped through
 :func:`spawn_worker` / :func:`reap_worker`:
 
+0. **core budget** — set this process's OpenBLAS thread count before
+   anything runs a GEMM: a primary gets the ``blas_threads`` budget its
+   supervisor passed (its share of the cores, DESIGN.md §16), a
+   follower one thread, since it serves no queries;
 1. **bootstrap** — open the shard archive ``mmap=True`` and replay a WAL
    onto it: a primary recovers the shard's live WAL and keeps
    journaling to it; a follower replays its own *mirror* and enters
@@ -15,7 +19,8 @@ runs :func:`worker_main`, and is started, awaited and reaped through
 4. **serve** — one request at a time until ``shutdown`` or EOF.
    ``ship`` exists only while follower; ``promote`` is a state
    transition (attach a journaling WAL over the mirror, take the new
-   fencing epoch) after which the loop *is* a primary's.
+   fencing epoch, raise the BLAS threads to the primary budget) after
+   which the loop *is* a primary's.
 
 A request is answered in one place whatever the role: a handler's
 exception becomes an ``op: "error"`` frame, every reply echoes the
@@ -37,6 +42,7 @@ from .. import faults
 from ..exceptions import ReproError
 from ..obs import span
 from ..serve.protocol import OP_PROMOTE, OP_SHIP, result_to_wire
+from .executor import set_blas_threads
 from .persistence import apply_wal_records, load_database, recover_database
 from .result import Neighbor
 from .rpc import RpcError, WorkerDied, recv_frame, send_frame
@@ -178,9 +184,10 @@ def _label(options: dict) -> str:
 class _Worker:
     """One worker's state: shard database, id table, role, epoch.
 
-    ``options`` carries ``shard_id``, ``archive``, ``epoch`` and
-    ``fsync_batch`` for both roles; a primary also gets its live
-    ``wal_dir``, a follower its ``replica_id`` and ``mirror`` directory.
+    ``options`` carries ``shard_id``, ``archive``, ``epoch``,
+    ``fsync_batch`` and the primary ``blas_threads`` budget for both
+    roles; a primary also gets its live ``wal_dir``, a follower its
+    ``replica_id`` and ``mirror`` directory.
     """
 
     def __init__(self, options: dict):
@@ -188,6 +195,7 @@ class _Worker:
         self.label = _label(options)
         self.epoch = int(options.get("epoch", 0))
         self.follower = options.get("replica_id") is not None
+        self._apply_blas_budget()
         replayed: list[tuple[dict, dict | None]] = []
 
         def observe(record, info):
@@ -233,6 +241,14 @@ class _Worker:
                 f"database holds {len(self.db)}"
             )
 
+    def _apply_blas_budget(self) -> None:
+        """Primary: its share of the cores; follower: one thread.
+
+        ``blas_threads`` is the count read back, None when this numpy's
+        BLAS has no setter we can reach (then nothing changed)."""
+        budget = 1 if self.follower else int(self.options["blas_threads"])
+        self.blas_threads = set_blas_threads(budget)
+
     def status(self) -> dict:
         """The counters every ack carries (and the ``ready`` frame)."""
         db, table, wal = self.db, self.table, self.db.wal
@@ -245,6 +261,7 @@ class _Worker:
             "wal_lag": 0 if wal is None else wal.records_since_checkpoint,
             "wal_seq": db.wal_seq if wal is None else wal.last_seq,
             "checkpoint_seq": db.wal_seq if wal is None else wal.checkpoint_seq,
+            "blas_threads": self.blas_threads,
         }
         if self.follower:
             status["applied_seq"] = self.applied
@@ -373,6 +390,7 @@ class _Worker:
             )
         )
         self.follower = False
+        self._apply_blas_budget()
         return {**reply, **self.status()}
 
 
