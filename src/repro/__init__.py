@@ -47,6 +47,7 @@ from .core import (
     jaccard_distance,
     recover_database,
     transform,
+    transform_many,
     transform_query,
     tune_max_scale,
     tune_scale,
@@ -95,6 +96,7 @@ __all__ = [
     "jaccard_distance",
     "recover_database",
     "transform",
+    "transform_many",
     "transform_query",
     "tune_max_scale",
     "tune_scale",

@@ -55,7 +55,7 @@ from .result import Neighbor, QueryResult, SearchStats, aggregate_stats
 from .rpc import RpcError, RpcTimeout, WorkerDied
 from .shard import HashRing, ShardError, ShardedDatabase, shard_manifest_path
 from .selection import top_k_indices
-from .setrep import CompressedSet, transform, transform_query
+from .setrep import CompressedSet, transform, transform_many, transform_query
 from .tuning import (
     ScaleTuningResult,
     TuningResult,
@@ -150,6 +150,7 @@ __all__ = [
     "tier_of",
     "top_k_indices",
     "transform",
+    "transform_many",
     "transform_query",
     "tune_max_scale",
     "tune_scale",

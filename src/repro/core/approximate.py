@@ -38,7 +38,7 @@ from .grid import Bound, Grid
 from .jaccard import jaccard
 from .result import Neighbor, QueryResult, SearchStats
 from .selection import top_k_indices
-from .setrep import transform
+from .setrep import transform, transform_many
 
 __all__ = ["ApproximateSearcher"]
 
@@ -63,7 +63,7 @@ class _CoarseLevel:
 
     def __init__(self, grid: Grid, series: list[np.ndarray]):
         self.grid = grid
-        sets = [transform(s, grid) for s in series]
+        sets = transform_many(series, grid)
         self.lengths = np.asarray([len(s) for s in sets], dtype=np.int64)
         self.dense = grid.n_cells <= _DENSE_CELL_LIMIT
         if self.dense:

@@ -40,7 +40,7 @@ from ..exceptions import ParameterError
 from ..obs import get_registry, span
 from .grid import Bound, Grid
 from .segment import Segment, count_transforms
-from .setrep import transform
+from .setrep import transform_many
 
 __all__ = ["CatalogSnapshot", "QuarantineRecord", "SegmentCatalog"]
 
@@ -355,7 +355,7 @@ class SegmentCatalog:
         series would tighten sealed segments' bounds and change
         similarities), only the derived sets are recomputed.
         """
-        sets = [transform(s, grid) for s in series]
+        sets = transform_many(series, grid)
         count_transforms(len(series), "load")
         segment = Segment(self._allocate_id(), series, grid, sets)
         with self._lock:

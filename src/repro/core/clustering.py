@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import ParameterError
 from .grid import Bound, Grid
 from .jaccard import jaccard_distance
-from .setrep import transform
+from .setrep import transform_many
 
 __all__ = ["k_medoids", "cluster_series"]
 
@@ -101,7 +101,7 @@ def cluster_series(
         raise ParameterError("cannot cluster an empty collection")
     bound = Bound.of_database(series)
     grid = Grid.from_cell_sizes(bound, sigma, epsilon)
-    sets = [transform(s, grid) for s in series]
+    sets = transform_many(series, grid)
     n = len(sets)
     distances = np.zeros((n, n))
     for i in range(n):

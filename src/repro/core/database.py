@@ -47,7 +47,7 @@ from .planner import METHODS, QueryPlanner
 from .pruning import PruningSearcher
 from .result import QueryResult
 from .segment import count_transforms
-from .setrep import transform, transform_query
+from .setrep import transform, transform_many, transform_query
 from .wal import encode_series  # noqa: F401  (re-exported for replay tooling)
 
 __all__ = ["STS3Database", "UpdateBuffer"]
@@ -91,7 +91,7 @@ class UpdateBuffer:
         if not self.bound.covers(own):
             self.bound = self.bound.union(own)
             self.grid = Grid(self.bound, self.col_width, self.row_heights)
-            self.sets = [transform(s, self.grid) for s in self.series]
+            self.sets = transform_many(self.series, self.grid)
             count_transforms(len(self.series), "buffer")
         self.series.append(series)
         self.sets.append(transform(series, self.grid))
@@ -293,7 +293,8 @@ class STS3Database:
         Each grid is adopted verbatim (series are assumed already
         prepared), so similarities — which depend on each segment's
         grid — match the database the segments came from bit-for-bit;
-        the sharded engine builds its shards this way.
+        one shard's partition under the shared base grid is built this
+        way.
         """
         if not payloads:
             raise EmptyDatabaseError("cannot restore a database from no segments")

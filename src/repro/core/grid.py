@@ -19,13 +19,20 @@ the mixed-radix combination of the time column and all value rows.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import GridError, ParameterError
 
-__all__ = ["Bound", "Grid"]
+__all__ = ["Bound", "Grid", "CHUNK_POINTS", "stacked_chunks"]
+
+#: Points per stacked chunk in the many-series passes
+#: (:meth:`Bound.of_database`, :func:`repro.core.setrep.transform_many`):
+#: 4 096 series of length 128, so each float64 or int64 temporary of a
+#: chunk is 4 MiB whatever the collection size.
+CHUNK_POINTS = 4096 * 128
 
 
 def _as_points(series: np.ndarray) -> np.ndarray:
@@ -36,6 +43,31 @@ def _as_points(series: np.ndarray) -> np.ndarray:
     if arr.ndim == 2:
         return arr
     raise GridError(f"a time series must be 1-D or 2-D, got shape {arr.shape}")
+
+
+def stacked_chunks(
+    series: Sequence[np.ndarray],
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """Group ``series`` by shape and stack each group in bounded chunks.
+
+    Yields ``(positions, points)``: ``points`` is a float64 array of
+    shape ``(len(positions), n, d)`` holding ``series[p]`` for each
+    ``p`` in ``positions``, as :func:`_as_points` would view it.  A
+    chunk holds at most :data:`CHUNK_POINTS` points (and at least one
+    series), so a pass over a large collection never stacks it whole.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for position, item in enumerate(series):
+        groups.setdefault(np.shape(item), []).append(position)
+    for shape, positions in groups.items():
+        if len(shape) not in (1, 2):
+            raise GridError(f"a time series must be 1-D or 2-D, got shape {shape}")
+        n, d = shape[0], shape[1] if len(shape) == 2 else 1
+        rows = max(1, CHUNK_POINTS // max(1, n * d))
+        for start in range(0, len(positions), rows):
+            chunk = positions[start : start + rows]
+            flat = np.concatenate([series[p] for p in chunk], dtype=np.float64)
+            yield chunk, flat.reshape(len(chunk), n, d)
 
 
 @dataclass(frozen=True)
@@ -77,13 +109,22 @@ class Bound:
             raise GridError("cannot bound an empty database")
         if value_padding < 0:
             raise ParameterError("value_padding must be non-negative")
-        points = [_as_points(s) for s in database]
-        n_dims = points[0].shape[1]
-        if any(p.shape[1] != n_dims for p in points):
-            raise GridError("all series must share the same dimensionality")
-        t_max = max(p.shape[0] for p in points) - 1
-        x_min = np.min([p.min(axis=0) for p in points], axis=0) - value_padding
-        x_max = np.max([p.max(axis=0) for p in points], axis=0) + value_padding
+        # Per-series extremes scattered back into input order, then one
+        # reduction across series: the same reductions in the same order
+        # as a per-series loop, so the bound is bit-identical to it.
+        mins = maxs = None
+        t_max = 0
+        for positions, points in stacked_chunks(database):
+            if mins is None:
+                mins = np.empty((len(database), points.shape[2]))
+                maxs = np.empty_like(mins)
+            elif points.shape[2] != mins.shape[1]:
+                raise GridError("all series must share the same dimensionality")
+            mins[positions] = points.min(axis=1)
+            maxs[positions] = points.max(axis=1)
+            t_max = max(t_max, points.shape[1] - 1)
+        x_min = mins.min(axis=0) - value_padding
+        x_max = maxs.max(axis=0) + value_padding
         return Bound(0.0, float(t_max), tuple(x_min.tolist()), tuple(x_max.tolist()))
 
     @staticmethod
@@ -251,17 +292,21 @@ class Grid:
 
     def columns_of(self, series: np.ndarray) -> np.ndarray:
         """Time-axis column index of every point, clamped to the grid."""
-        n = _as_points(series).shape[0]
+        return self._columns(_as_points(series).shape[0])
+
+    def _columns(self, n: int) -> np.ndarray:
         t = np.arange(n, dtype=np.float64)
         cols = np.floor((t - self.bound.t_min) / self.col_width).astype(np.int64)
         return np.clip(cols, 0, self.n_columns - 1)
 
     def rows_of(self, series: np.ndarray) -> np.ndarray:
         """Value-axis row index per point and dimension, shape ``(n, d)``."""
-        points = _as_points(series)
-        if points.shape[1] != self.n_dims:
+        return self._rows(_as_points(series))
+
+    def _rows(self, points: np.ndarray) -> np.ndarray:
+        if points.shape[-1] != self.n_dims:
             raise GridError(
-                f"series has {points.shape[1]} dims, grid has {self.n_dims}"
+                f"series has {points.shape[-1]} dims, grid has {self.n_dims}"
             )
         rows = np.floor((points - self._x_lo) / self._heights).astype(np.int64)
         return np.clip(rows, 0, self._rows_arr - 1)
@@ -274,12 +319,21 @@ class Grid:
         callers with genuinely out-of-bound query points should use
         :func:`repro.core.setrep.transform_query` (Algorithm 6) instead.
         """
-        columns = self.columns_of(series)
-        rows = self.rows_of(series)
-        ids = np.zeros(len(columns), dtype=np.int64)
-        for d in range(self.n_dims - 1, -1, -1):
-            ids = ids * self.n_rows[d] + rows[:, d]
-        return ids * self.n_columns + columns
+        return self.cell_ids(_as_points(series))
+
+    def cell_ids(self, points: np.ndarray) -> np.ndarray:
+        """Equation 1 over a ``(..., n, d)`` point array → ``(..., n)`` IDs.
+
+        Leading axes are a batch: a ``(b, n, d)`` stack of equal-length
+        series gets the IDs each series would get on its own, because
+        every step is elementwise (the time column depends only on the
+        sample index and broadcasts over the batch).
+        """
+        rows = self._rows(points)
+        ids = rows[..., -1]
+        for d in range(self.n_dims - 2, -1, -1):
+            ids = ids * self.n_rows[d] + rows[..., d]
+        return ids * self.n_columns + self._columns(points.shape[-2])
 
     def decode_cell(self, cell_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Invert :meth:`cell_ids_per_point`: IDs → (columns, rows).

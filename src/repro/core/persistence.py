@@ -46,6 +46,7 @@ import random
 import struct
 import time
 import zipfile
+from collections.abc import Sequence
 from pathlib import Path
 from zlib import crc32
 
@@ -62,6 +63,7 @@ from .wal import WriteAheadLog, decode_series, replay_wal, scan_wal
 
 __all__ = [
     "save_database",
+    "save_segments",
     "load_database",
     "recover_database",
     "verify_archive",
@@ -167,10 +169,9 @@ def _unpack(
     return out
 
 
-def _segment_entry(segment) -> dict:
-    grid = segment.grid
+def _segment_entry(size: int, grid: Grid) -> dict:
     return {
-        "size": len(segment),
+        "size": size,
         "bound": {
             "t_min": grid.bound.t_min,
             "t_max": grid.bound.t_max,
@@ -265,43 +266,74 @@ def save_database(
     the sharded engine uses to checkpoint its global-id tables inside
     each shard archive (docs/sharding.md).
     """
-    path = Path(path)
     wal = getattr(db, "wal", None)
     if wal is not None:
         wal.sync()  # everything the archive captures must be acknowledged
-    all_series = db.catalog.all_series()
-    with span(
-        "persist.save",
-        series=len(all_series),
-        segments=len(db.catalog.segments),
-        buffered=len(db.buffer.series),
-        version=FORMAT_VERSION,
-    ):
-        _write_archive(db, path, extras)
-    db.wal_seq = _header_params(db)["wal_seq"]
+    params = _header_params(db)
+    save_segments(
+        path,
+        [(segment.series, segment.grid) for segment in db.catalog.segments],
+        params,
+        buffered=db.buffer.series,
+        extras=extras,
+    )
+    db.wal_seq = params["wal_seq"]
     if wal is not None and checkpoint_wal:
         wal.checkpoint()
+
+
+def save_segments(
+    path: str | Path,
+    segments: list[tuple[list[np.ndarray], Grid]],
+    params: dict,
+    buffered: Sequence[np.ndarray] = (),
+    extras: dict | None = None,
+) -> None:
+    """Write a v4 archive of ``(series, grid)`` segment pairs atomically.
+
+    The writer behind :func:`save_database`.  An archive holds series
+    and grids only (sets are derived state), so a caller that already
+    has the series partitioned under known grids — the sharded build —
+    writes it without assembling a database or transforming a series.
+    ``params`` are the manifest's header fields (:func:`_header_params`
+    names them); ``buffered`` series are re-buffered on load.
+    """
+    path = Path(path)
+    with span(
+        "persist.save",
+        series=sum(len(series) for series, _ in segments),
+        segments=len(segments),
+        buffered=len(buffered),
+        version=FORMAT_VERSION,
+    ):
+        _write_archive(path, segments, buffered, params, extras)
     get_registry().counter(
         "sts3_persist_total", "database archive writes and reads"
     ).inc(op="save")
 
 
-def _write_archive(db: STS3Database, path: Path, extras: dict | None = None) -> None:
+def _write_archive(
+    path: Path,
+    segments: list[tuple[list[np.ndarray], Grid]],
+    buffered: Sequence[np.ndarray],
+    params: dict,
+    extras: dict | None,
+) -> None:
     """Checksummed container: per-segment payloads + manifest + trailer."""
     segment_entries = []
     blobs: list[bytes] = []
     n_dims = 1
-    for segment in db.catalog.segments:
-        entry = _segment_entry(segment)
-        matrix, lengths, n_dims = _pack(segment.series)
+    for series, grid in segments:
+        entry = _segment_entry(len(series), grid)
+        matrix, lengths, n_dims = _pack(series)
         blob = _npz_bytes(series=matrix, lengths=lengths)
         entry["payload"] = {"length": len(blob), "crc32": crc32(blob)}
         segment_entries.append(entry)
         blobs.append(blob)
-    buf_matrix, buf_lengths, _ = _pack(db.buffer.series)
+    buf_matrix, buf_lengths, _ = _pack(buffered)
     buffer_blob = _npz_bytes(series=buf_matrix, lengths=buf_lengths)
     buffer_entry = {
-        "size": len(db.buffer.series),
+        "size": len(buffered),
         "payload": {"length": len(buffer_blob), "crc32": crc32(buffer_blob)},
     }
     # Assign offsets now that every blob size is known.
@@ -311,7 +343,7 @@ def _write_archive(db: STS3Database, path: Path, extras: dict | None = None) -> 
         cursor += len(blob) + _FOOTER.size
     manifest = {
         "format_version": FORMAT_VERSION,
-        **_header_params(db),
+        **params,
         "n_dims": n_dims,
         "segments": segment_entries,
         "buffer_payload": buffer_entry,

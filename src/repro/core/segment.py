@@ -35,7 +35,7 @@ from .indexed import IndexedSearcher
 from .minhash import MinHashSearcher
 from .naive import NaiveSearcher
 from .pruning import PruningSearcher
-from .setrep import transform
+from .setrep import transform, transform_many
 
 __all__ = ["Segment", "count_transforms", "grid_for_bound"]
 
@@ -144,13 +144,14 @@ class Segment:
     ) -> "Segment":
         """Build a segment from raw series: bound → grid → transforms.
 
-        This is the O(n) constructor — one transform per series — used
-        for initial construction and compaction.  Sealing a buffer uses
+        This is the O(n) constructor — one bulk transform over all the
+        series (:func:`~repro.core.setrep.transform_many`) — used for
+        initial construction and compaction.  Sealing a buffer uses
         :class:`Segment` directly with the buffer's grid and sets.
         """
         bound = Bound.of_database(series, value_padding=value_padding)
         grid = grid_for_bound(bound, sigma, epsilon)
-        sets = [transform(s, grid) for s in series]
+        sets = transform_many(series, grid)
         count_transforms(len(series), context)
         return cls(segment_id, series, grid, sets)
 
@@ -229,7 +230,7 @@ class Segment:
             with span("segment.materialize", segment=self.segment_id,
                       series=self._size):
                 series = self._loader()
-                self._sets = [transform(s, self.grid) for s in series]
+                self._sets = transform_many(series, self.grid)
                 count_transforms(len(series), "load")
                 self._series = list(series)  # last: publishes the load
 
@@ -523,10 +524,12 @@ class Segment:
             problems.append(
                 f"{len(self.series)} series but {len(self.sets)} set reps"
             )
-        for i, (series, cell_set) in enumerate(zip(self.series, self.sets)):
+        fresh_sets = transform_many(self.series, self.grid)
+        for i, (series, cell_set, fresh) in enumerate(
+            zip(self.series, self.sets, fresh_sets)
+        ):
             if not self.grid.bound.covers(Bound.of_series(series)):
                 problems.append(f"series {offset + i} escapes the database bound")
-            fresh = transform(series, self.grid)
             if not np.array_equal(fresh, cell_set):
                 problems.append(
                     f"series {offset + i} has a stale set representation"

@@ -5,7 +5,8 @@ Sorted arrays make the Jaccard intersection a linear merge (the paper's
 "order list for the convenience of linear-time intersection") and let
 numpy do the heavy lifting.
 
-:func:`transform` is Algorithm 1 (all points assumed in-bound);
+:func:`transform` is Algorithm 1 (all points assumed in-bound) and
+:func:`transform_many` its bulk form for whole collections;
 :func:`transform_query` is Algorithm 6, which handles query points
 falling outside the database bound by giving them cell IDs from a
 separate ID space offset by ``maxNumber`` — out-points can then only
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Bound, Grid
+from .grid import Bound, Grid, stacked_chunks
 
-__all__ = ["transform", "transform_query", "CompressedSet"]
+__all__ = ["transform", "transform_many", "transform_query", "CompressedSet"]
 
 
 def transform(series: np.ndarray, grid: Grid) -> np.ndarray:
@@ -36,6 +37,30 @@ def transform(series: np.ndarray, grid: Grid) -> np.ndarray:
     """
     ids = grid.cell_ids_per_point(series)
     return np.unique(ids)
+
+
+def transform_many(series, grid: Grid) -> list[np.ndarray]:
+    """Algorithm 1 over a collection: ``[transform(s, grid) for s in series]``.
+
+    Same output byte for byte (sorted unique int64 arrays, in input
+    order), but one numpy pass per stacked chunk of equal-shape series
+    (:func:`repro.core.grid.stacked_chunks`) instead of one call chain
+    per series: Equation 1 over the whole chunk, a sort along each row,
+    and a mask keeping the entries that differ from their left
+    neighbour.  Each returned set is a contiguous view into its chunk's
+    kept IDs.
+    """
+    out: list[np.ndarray] = [None] * len(series)
+    for positions, points in stacked_chunks(series):
+        ids = grid.cell_ids(points)
+        ids.sort(axis=1)
+        keep = np.ones(ids.shape, dtype=bool)
+        np.not_equal(ids[:, 1:], ids[:, :-1], out=keep[:, 1:])
+        ends = np.cumsum(keep.sum(axis=1)).tolist()
+        kept = ids[keep]
+        for p, start, end in zip(positions, [0] + ends, ends):
+            out[p] = kept[start:end]
+    return out
 
 
 def transform_query(series: np.ndarray, grid: Grid) -> np.ndarray:

@@ -321,8 +321,7 @@ class ShardedDatabase:
         idempotent, so it must never run twice).
         """
         from ..data.normalize import z_normalize
-        from .database import STS3Database
-        from .persistence import save_database
+        from .persistence import save_segments
 
         series = [as_series(s) for s in series]
         if not series:
@@ -344,22 +343,26 @@ class ShardedDatabase:
                 f"shards {empty} would own no series ({len(series)} series "
                 f"across {n_shards} shards); use fewer shards or more series"
             )
+        params = {
+            "sigma": float(sigma),
+            "epsilon": list(epsilon) if isinstance(epsilon, tuple) else epsilon,
+            "epsilon_is_tuple": isinstance(epsilon, tuple),
+            "normalize": bool(normalize),
+            "value_padding": float(value_padding),
+            "buffer_capacity": int(buffer_capacity),
+            "default_scale": int(default_scale),
+            "default_max_scale": int(default_max_scale),
+        }
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        # Each shard archive is written straight from its series and the
+        # shared grid: archives hold no sets, and every worker derives
+        # its own on first touch, so the parent transforms nothing.
         for shard_id, ids in enumerate(parts):
-            shard_db = STS3Database.from_segments(
-                [([series[i] for i in ids], grid)],
-                sigma=sigma,
-                epsilon=epsilon,
-                normalize=normalize,
-                value_padding=value_padding,
-                buffer_capacity=buffer_capacity,
-                default_scale=default_scale,
-                default_max_scale=default_max_scale,
-            )
-            save_database(
-                shard_db,
+            save_segments(
                 directory / cls.shard_file(shard_id),
+                [([series[i] for i in ids], grid)],
+                {**params, "rebuild_count": 0, "wal_seq": 0},
                 extras={"shard": {"stored": list(ids), "buffered": []}},
             )
         manifest = {
@@ -374,16 +377,7 @@ class ShardedDatabase:
             "replicas": int(replicas),
             "epochs": [0] * int(n_shards),
             "wal_dirs": [None] * int(n_shards),
-            "params": {
-                "sigma": float(sigma),
-                "epsilon": list(epsilon) if isinstance(epsilon, tuple) else epsilon,
-                "epsilon_is_tuple": isinstance(epsilon, tuple),
-                "normalize": bool(normalize),
-                "value_padding": float(value_padding),
-                "buffer_capacity": int(buffer_capacity),
-                "default_scale": int(default_scale),
-                "default_max_scale": int(default_max_scale),
-            },
+            "params": params,
         }
         cls._write_manifest(directory, manifest)
         return cls(

@@ -74,6 +74,19 @@ class TestMappedEquivalence:
                 got = fingerprint_of(mapped.query(query, k=5, method=method))
                 assert got == want, method
 
+    def test_sets_equal_across_build_eager_and_mapped(self, archive):
+        """Built, eagerly loaded and mapped catalogs hold the same set bytes."""
+        path, db, _ = archive
+
+        def set_bytes(database):
+            return [
+                [cell_set.tobytes() for cell_set in segment.sets]
+                for segment in database.catalog.segments
+            ] + [[cell_set.tobytes() for cell_set in database.buffer.sets]]
+
+        assert set_bytes(load_database(path)) == set_bytes(db)
+        assert set_bytes(load_database(path, mmap=True)) == set_bytes(db)
+
     def test_catalog_shape_matches(self, archive):
         path, db, _ = archive
         mapped = load_database(path, mmap=True)

@@ -179,6 +179,29 @@ class TestFlushCost:
         db.compact()
         assert transforms.value(context="compact") == n + b
 
+    def test_load_transforms_each_stored_series_once(self, fresh_registry, tmp_path):
+        """Eager load counts every stored series; a mapped one on first touch."""
+        from repro.core import load_database, save_database
+
+        rng = np.random.default_rng(9)
+        n, b = 60, 3
+        db = STS3Database(
+            [rng.normal(size=32) for _ in range(n)],
+            sigma=2, epsilon=0.5, normalize=False, buffer_capacity=b,
+        )
+        for i in range(b):
+            db.insert(_spiked(rng, 32, 40.0 + 10.0 * i))  # the third one seals
+        assert len(db.catalog.segments) == 2
+        path = tmp_path / "db.sts3"
+        save_database(db, path)
+        transforms = fresh_registry.counter("sts3_transforms_total")
+        load_database(path)
+        assert transforms.value(context="load") == n + b
+        mapped = load_database(path, mmap=True)
+        assert transforms.value(context="load") == n + b
+        mapped.query(rng.normal(size=32), k=3, method="naive")
+        assert transforms.value(context="load") == 2 * (n + b)
+
     def test_direct_insert_transforms_once(self, fresh_registry):
         rng = np.random.default_rng(8)
         db = STS3Database(

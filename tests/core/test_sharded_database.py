@@ -24,6 +24,7 @@ from repro.core import worker
 from repro.core.shard import HashRing, ShardedDatabase, ShardError
 from repro.data.workloads import ecg_workload
 from repro.exceptions import ParameterError, ReproError
+from repro.obs import get_registry
 
 LENGTH = 32
 SIGMA = 2
@@ -414,6 +415,20 @@ class TestBuildValidation:
                 make_series(rng, 2), 16, tmp_path / "s",
                 sigma=SIGMA, epsilon=EPSILON, normalize=False,
             )
+
+    def test_build_transforms_nothing_in_the_parent(self, tmp_path):
+        """Shard archives hold series and grids only; workers derive sets."""
+        transforms = get_registry().counter("sts3_transforms_total")
+        contexts = ("build", "buffer", "extend", "compact", "load")
+        before = [transforms.value(context=c) for c in contexts]
+        sharded = ShardedDatabase.build(
+            make_series(np.random.default_rng(5), 60), 2, tmp_path / "shards",
+            sigma=SIGMA, epsilon=EPSILON, normalize=False,
+        )
+        try:
+            assert [transforms.value(context=c) for c in contexts] == before
+        finally:
+            sharded.close()
 
     def test_from_database_matches_source_answers(self, tmp_path):
         rng = np.random.default_rng(23)
