@@ -10,19 +10,23 @@ once per batch instead of once per query:
    into one values array with a parallel query-id row index (the CSR
    representation of the batch's sparse query/cell matrix).
 2. **One-pass postings location** — a single pair of
-   ``np.searchsorted`` calls against the index's sorted postings
-   (``IndexedSearcher._cells``) finds the postings run of every
-   (query, cell) pair at once.  The run lengths also reveal, before any
-   heavy work, exactly how many (query, posting) pairs the batch
-   touches — which drives the kernel choice below.
-3. **Intersection counting**, by one of three kernels:
+   ``np.searchsorted`` calls against the index vocabulary ranks every
+   (query, cell) pair at once; a cell absent from the index (e.g. an
+   Algorithm 6 ID) gets an empty rank range.  Through the offset of
+   each vocabulary cell's postings run, taken once per engine, the
+   ranks give the exact count of (query, posting) pairs the batch
+   touches before any heavy work — which prices the postings regime
+   below — and they are the dense kernel's one-hot columns.
+3. **Intersection counting**, by one of three regimes:
 
-   - *sparse/CSR kernel* — gather every postings run with one fancy
-     index and accumulate per-query counters with a single flat
-     ``np.bincount`` over ``query_id * n_series + owner`` keys (the
-     per-query counter arrays of Algorithm 3, stacked, in one C pass).
-     Work is proportional to the pairs actually touched, so this wins
-     when intersections are sparse.
+   - *postings* — Algorithm 3's own counter:
+     :meth:`IndexedSearcher.intersection_counts` fills each query's row
+     (gather the postings of every query cell, ``bincount`` the
+     owners).  Work is proportional to the pairs actually touched plus
+     one ``n_series`` counter per query, so it wins when intersections
+     are sparse (fine grids) and it is the fallback whenever both
+     matrices below are gated out by ``dense_limit``.  It is never
+     forced by a ``kernel=`` value.
    - *dense/one-hot kernel* — materialize the database side once as a
      one-hot ``(distinct cells × n_series)`` float32 matrix and compute
      all counters as a BLAS matmul with the batch's one-hot query
@@ -31,7 +35,6 @@ once per batch instead of once per query:
      pairs can approach ``n_queries × total postings``) this turns a
      memory-bound scatter into a compute-bound GEMM and wins by a wide
      margin.
-
    - *bitset kernel* — pack the database into a
      :class:`~repro.core.bitset.BitsetStore` (one uint64 row of
      ``ceil(vocab/64)`` words per series) and count each query's
@@ -43,11 +46,12 @@ once per batch instead of once per query:
 
    The engine picks per batch from a unit-cost model over the exact
    pair/vocabulary counts *and the batch width* (``kernel="auto"``;
-   force any for ablation): a GEMM of a few rows is bound by streaming
-   the one-hot matrix, not by flops, so below ``_DENSE_ROW_FLOOR`` rows
-   its cost stops falling with width and the popcount sweep — linear
-   in rows over a 64x smaller matrix — wins; a batch of one is never
-   handed to BLAS at all.
+   force ``dense`` or ``bitset`` for ablation): a GEMM of a few rows is
+   bound by streaming the one-hot matrix, not by flops, so below
+   ``_DENSE_ROW_FLOOR`` rows its cost stops falling with width and the
+   popcount sweep — linear in rows over a 64x smaller matrix — wins; a
+   batch of one is never handed to BLAS at all.  The matrices are
+   offered only where they beat the postings counter's price.
 4. **O(n) top-k per query** — :func:`repro.core.selection.top_k_indices`
    replaces the historical full lexsort, preserving the deterministic
    tie-break (similarity descending, index ascending).
@@ -58,8 +62,8 @@ nothing, and — more importantly on cgroup-limited or overcommitted
 hosts, where first-touch page faults on fresh tens-of-MB allocations
 can be an order of magnitude slower than warm writes — the kernels only
 ever stream through already-faulted pages.  Large batches are processed
-in tiles bounded both by counter cells (``tile_cells``) and gathered
-pairs (``tile_postings``) so peak scratch memory is constant.
+in even tiles bounded by counter cells (``tile_cells``) so peak scratch
+memory is constant.
 
 The engine returns *exactly* what the scalar path returns — same
 neighbours, same similarities (bit for bit), same ``SearchStats``
@@ -81,14 +85,23 @@ from .selection import top_k_indices
 
 __all__ = ["QueryWorkspace", "BatchQueryEngine", "batch_query"]
 
-_KERNELS = ("auto", "sparse", "dense", "bitset")
+#: values of ``kernel=``; the postings regime is never forced.
+_KERNELS = ("auto", "dense", "bitset")
 
-#: Estimated cost ratio between one gathered (query, posting) pair in
-#: the sparse kernel (~7 streaming passes of 8 bytes) and one
-#: multiply-add of the dense GEMM (AVX-vectorized float32).  Measured on
-#: the reference container; only the order of magnitude matters for the
-#: crossover to land in the right regime.
-_SPARSE_PAIR_COST = 256
+#: Estimated cost of one gathered (query, posting) pair in the postings
+#: counter (slice, concatenate, ``bincount``) relative to one GEMM
+#: multiply-add, on the scale ``_BITSET_WORD_COST`` sets.  Fitted on the
+#: width sweep (``benchmarks/bench_batch_width.py``, EXPERIMENTS.md "One
+#: fallback"): it prices a one-query popcount sweep 1.5x below the
+#: postings counter at the end-to-end grid (sigma=3 epsilon=0.58, 20k
+#: series), as measured, and above it at epsilon=0.2, where the sweep
+#: is 33 words wide and measured 1.5x slower.
+_POSTINGS_PAIR_COST = 80
+
+#: Estimated per-query cost of the postings counter per database series
+#: (the ``n_series`` counter it zeroes, ``bincount``s into and copies
+#: into the tile, ~1 ns each), on the same scale.
+_POSTINGS_SERIES_COST = 16
 
 #: Estimated cost of one uint64 word in the bitset sweep (AND + popcount
 #: + horizontal add) relative to one GEMM multiply-add.  A word covers
@@ -98,8 +111,8 @@ _SPARSE_PAIR_COST = 256
 #: the reference container (~14 ns/word vs ~0.09 ns/flop through BLAS).
 #: The bitset kernel's niches are thin batches (below the row floor)
 #: and the regime the ``dense_limit`` gate carves out: its matrix is
-#: 64x smaller than the one-hot, so it stays feasible (and beats the
-#: sparse gather) long after the GEMM workspace is priced out.
+#: 64x smaller than the one-hot, so it stays feasible long after the
+#: GEMM workspace is priced out.
 _BITSET_WORD_COST = 160
 
 #: Rows below which a GEMM's time stops falling with the batch width:
@@ -108,10 +121,12 @@ _BITSET_WORD_COST = 160
 #: ECG series 2.5-3.5 ms flat for 2-16 rows, against 0.15 ms/row at
 #: width 64: 17-22 rows' worth at 4k, 10k and 20k series alike).  With
 #: ``_BITSET_WORD_COST`` it puts the bitset/dense crossover at
-#: ``64/160 x floor`` = 6.4 rows; the width sweep
+#: ``64/160 x floor`` = 8 rows; the width sweep
 #: (``benchmarks/bench_batch_width.py``, EXPERIMENTS.md "Batch width x
-#: kernel") measures the two level at 6 rows and dense ahead from 8.
-_DENSE_ROW_FLOOR = 16
+#: kernel") measures the two level at 6-8 rows.  A floor of 16 priced a
+#: 16-row GEMM below the postings counter at sigma=3 epsilon=0.2, where
+#: it measured 1.3x slower (EXPERIMENTS.md "One fallback").
+_DENSE_ROW_FLOOR = 20
 
 
 class QueryWorkspace:
@@ -162,20 +177,17 @@ class BatchQueryEngine:
     tile_cells:
         Upper bound on ``tile_queries × n_series`` counter cells
         materialized at once (default 4M ≈ 32 MiB of float64 counters).
-    tile_postings:
-        Upper bound on gathered (query, posting) pairs per tile for the
-        sparse kernel (default 8M ≈ 64 MiB of int64 scratch).
     kernel:
-        ``"auto"`` (default) chooses per batch; ``"sparse"`` /
-        ``"dense"`` / ``"bitset"`` force one kernel (used by the
-        ablation bench and tests).
+        ``"auto"`` (default) chooses per batch; ``"dense"`` /
+        ``"bitset"`` force one kernel (used by the ablation bench and
+        tests).
     dense_limit:
         Refuse to build the one-hot database matrix beyond this many
-        float32 elements (default 64M ≈ 256 MiB); oversized indexes
-        always use the sparse kernel.  The packed bitset matrix is
-        gated by the same element budget (uint64 words instead of
-        float32 cells, i.e. 2x the bytes per element at 1/64th the
-        elements).
+        float32 elements (default 64M ≈ 256 MiB).  The packed bitset
+        matrix is gated by the same element budget (uint64 words
+        instead of float32 cells, i.e. 2x the bytes per element at
+        1/64th the elements); an index that fits neither is counted by
+        the postings regime.
     bitset_store:
         Optional prebuilt :class:`~repro.core.bitset.BitsetStore` over
         the searcher's sets, or a zero-arg supplier returning one (or
@@ -189,21 +201,17 @@ class BatchQueryEngine:
         searcher,
         workspace: QueryWorkspace | None = None,
         tile_cells: int = 4_000_000,
-        tile_postings: int = 8_000_000,
         kernel: str = "auto",
         dense_limit: int = 64_000_000,
         bitset_store=None,
     ):
         if tile_cells < 1:
             raise ParameterError(f"tile_cells must be >= 1, got {tile_cells}")
-        if tile_postings < 1:
-            raise ParameterError(f"tile_postings must be >= 1, got {tile_postings}")
         if kernel not in _KERNELS:
             raise ParameterError(f"unknown kernel {kernel!r}; one of {_KERNELS}")
         self.searcher = searcher
         self.workspace = workspace if workspace is not None else QueryWorkspace()
         self.tile_cells = int(tile_cells)
-        self.tile_postings = int(tile_postings)
         self.kernel = kernel
         self.dense_limit = int(dense_limit)
         self._lengths_f64 = np.asarray(searcher.lengths, dtype=np.float64)
@@ -216,9 +224,10 @@ class BatchQueryEngine:
         # engine under the segment lock but never builds into one).
         self._build_lock = threading.Lock()
         self._onehot: np.ndarray | None = None
+        self._run_starts: np.ndarray | None = None
         #: a BitsetStore, a zero-arg supplier for one, or None.
         self._bitset = bitset_store
-        #: kernel chosen for each tile of the last query_batch call
+        #: regime chosen for each tile of the last query_batch call
         #: (diagnostic, consumed by the benchmark report).
         self.last_kernels: list[str] = []
 
@@ -245,34 +254,34 @@ class BatchQueryEngine:
         ).observe(len(query_sets))
 
         # The batch-wide postings location is filtering work (it finds
-        # which series each query touches), so it shares the "filter"
-        # span name with the per-tile counting kernels.
+        # how many postings the batch touches), so it shares the
+        # "filter" span name with the per-tile counting kernels.
         with span("filter", phase="locate_postings"):
             q_lens = np.asarray([s.size for s in query_sets], dtype=np.int64)
-            q_indptr = np.zeros(len(query_sets) + 1, dtype=np.int64)
-            np.cumsum(q_lens, out=q_indptr[1:])
+            q_indptr = [0, *np.cumsum(q_lens).tolist()]
             q_cells = (
                 np.concatenate(query_sets)
                 if q_indptr[-1]
                 else np.empty(0, dtype=np.int64)
             )
-            # One searchsorted pair for the WHOLE batch: postings runs of
-            # every (query, cell) pair, and through them the exact pair
-            # counts that drive tiling and kernel choice.
-            left = np.searchsorted(self.searcher._cells, q_cells, side="left")
-            right = np.searchsorted(self.searcher._cells, q_cells, side="right")
-            run_lens = right - left
-            pair_cum = np.zeros(run_lens.size + 1, dtype=np.int64)
-            np.cumsum(run_lens, out=pair_cum[1:])
-            pairs_per_query = pair_cum[q_indptr[1:]] - pair_cum[q_indptr[:-1]]
+            # One searchsorted pair for the WHOLE batch, into the
+            # vocabulary (small and cache-resident, unlike the
+            # postings): cell i of the batch has vocabulary ranks
+            # left[i]:right[i] (empty when absent), and the exact count
+            # of (query, posting) pairs prices the postings regime.
+            distinct = self.searcher.vocabulary()
+            left = np.searchsorted(distinct, q_cells, side="left")
+            right = np.searchsorted(distinct, q_cells, side="right")
+            starts = self._postings_starts()
+            total_pairs = int((starts[right] - starts[left]).sum())
 
-        # Kernel choice is per batch: the dense GEMM's economics depend
-        # on the whole batch's pair count, and only the sparse kernel
-        # needs its tiles bounded by gathered pairs (its scratch is
-        # pair-sized; the GEMM's is counter-sized).
-        with span("filter", phase="plan_tiles"):
-            kernel = self._choose_kernel(len(query_sets), int(pair_cum[-1]))
-            tiles = self._tiles(pairs_per_query, n_series, kernel)
+        # The choice is per batch: the dense GEMM's economics depend on
+        # the whole batch's width and tiling.
+        with span("filter", phase="plan_tiles") as plan:
+            tiles = self._tiles(len(query_sets), n_series)
+            prices = self._prices(len(query_sets), total_pairs, len(tiles))
+            kernel = self._choose_kernel(prices)
+            plan.set(kernel=kernel, prices=prices)
         registry = get_registry()
         registry.counter(
             "sts3_batch_tiles_total", "batch-engine tiles run, by chosen kernel"
@@ -289,76 +298,47 @@ class BatchQueryEngine:
                     self._run_tile(
                         query_sets[start:stop],
                         q_lens[start:stop],
-                        q_cells[cell_slice],
                         left[cell_slice],
-                        run_lens[cell_slice],
-                        int(pairs_per_query[start:stop].sum()),
+                        right[cell_slice],
                         k,
                         kernel,
                     )
                 )
         return results
 
-    def _tiles(
-        self,
-        pairs_per_query: np.ndarray,
-        n_series: int,
-        kernel: str,
-    ) -> list[tuple[int, int]]:
-        """Query partition honouring the active scratch budgets.
+    def _tiles(self, n_queries: int, n_series: int) -> list[tuple[int, int]]:
+        """Even cuts of the batch, each within ``tile_cells`` counters.
 
-        A greedy pass finds how many tiles the budgets need; the batch
-        is then cut into that many tiles of even width, because the
-        kernel is chosen once per batch at the batch's width and a
-        greedy cut leaves a remainder tile as narrow as one row (201
-        queries over a 200-query budget: a 200-row GEMM and a GEMV).
+        Even, not greedy: the kernel is chosen once per batch at the
+        batch's width, and a greedy cut leaves a remainder tile as
+        narrow as one row (201 queries over a 200-query budget: a
+        200-row GEMM and a GEMV).  No even tile is wider than the
+        budget's ``tile_cells // n_series`` rows.
         """
-        n_queries = len(pairs_per_query)
-        greedy: list[tuple[int, int]] = []
-        start = 0
-        pairs = 0
-        for i in range(n_queries):
-            width = (i - start + 1) * n_series
-            over_pairs = (
-                kernel == "sparse" and pairs + pairs_per_query[i] > self.tile_postings
-            )
-            if i > start and (width > self.tile_cells or over_pairs):
-                greedy.append((start, i))
-                start, pairs = i, 0
-            pairs += int(pairs_per_query[i])
-        greedy.append((start, n_queries))
-        n_tiles = len(greedy)
-        even = [
+        n_tiles = -(-n_queries // max(1, self.tile_cells // n_series))
+        return [
             (n_queries * t // n_tiles, n_queries * (t + 1) // n_tiles)
             for t in range(n_tiles)
         ]
-        # No even tile is wider than the widest greedy one, so the cell
-        # budget holds; pairs are not uniform over queries, so the pair
-        # budget may not — then only the greedy cut fits it.
-        if kernel == "sparse" and any(
-            stop - start > 1
-            and pairs_per_query[start:stop].sum() > self.tile_postings
-            for start, stop in even
-        ):
-            return greedy
-        return even
 
     # -- kernels ---------------------------------------------------------
 
-    def _choose_kernel(self, n_queries: int, total_pairs: int) -> str:
-        """Cheapest kernel under the unit-cost model (ties keep the
-        earlier entry, so the historical sparse-vs-dense tie-break is
-        unchanged)."""
-        if self.kernel != "auto":
-            return self.kernel
+    def _prices(self, n_queries: int, total_pairs: int, n_tiles: int) -> dict[str, int]:
+        """Unit-cost price of every feasible regime for one batch.
+
+        ``postings`` is always priced; ``bitset`` and ``dense`` are
+        absent where ``dense_limit`` gates their matrix out (or, for
+        the GEMM, where a tile would be one row).
+        """
         n_series = len(self.searcher.sets)
         distinct = self.searcher.vocabulary()
         n_words = (distinct.size + 63) // 64
-        costs: dict[str, int] = {
-            "sparse": total_pairs * _SPARSE_PAIR_COST,
+        prices = {
+            "postings": total_pairs * _POSTINGS_PAIR_COST
+            + n_queries * n_series * _POSTINGS_SERIES_COST,
         }
         if n_series * n_words <= self.dense_limit:
-            costs["bitset"] = (
+            prices["bitset"] = (
                 n_queries * n_series * max(n_words, 1) * _BITSET_WORD_COST
             )
         # The GEMM runs once per (even, cell-bounded) tile, so it is
@@ -368,16 +348,18 @@ class BatchQueryEngine:
         # where the sweep takes 0.9).  The packed store is 64x smaller
         # under the same ``dense_limit``, so whenever dense is a
         # candidate the bitset sweep is one too.
-        n_tiles = -(-n_queries // max(1, self.tile_cells // n_series))
         if n_queries // n_tiles > 1 and distinct.size * n_series <= self.dense_limit:
-            costs["dense"] = (
+            prices["dense"] = (
                 max(n_queries, n_tiles * _DENSE_ROW_FLOOR) * distinct.size * n_series
             )
-        best = "sparse"
-        for name, cost in costs.items():
-            if cost < costs[best]:
-                best = name
-        return best
+        return prices
+
+    def _choose_kernel(self, prices: dict[str, int]) -> str:
+        """The forced kernel, else the cheapest priced regime (ties keep
+        the postings counter)."""
+        if self.kernel != "auto":
+            return self.kernel
+        return min(prices, key=prices.__getitem__)
 
     def _bitset_store(self) -> BitsetStore:
         """The packed database bitmap: supplied, injected, or built once."""
@@ -390,6 +372,15 @@ class BatchQueryEngine:
                         self.searcher.sets, vocab=self.searcher.vocabulary()
                     )
         return self._bitset
+
+    def _postings_starts(self) -> np.ndarray:
+        """Where each vocabulary cell's postings run starts, then the
+        postings' end: run ``i`` is ``starts[i]:starts[i + 1]``."""
+        if self._run_starts is None:
+            cells = self.searcher._cells
+            starts = np.searchsorted(cells, self.searcher.vocabulary())
+            self._run_starts = np.append(starts, cells.size)
+        return self._run_starts
 
     def _onehot_matrix(self) -> np.ndarray:
         """One-hot (distinct cells × n_series) float32 matrix, built once."""
@@ -404,78 +395,31 @@ class BatchQueryEngine:
                     self._onehot = onehot
         return self._onehot
 
-    def _counts_sparse(
+    def _counts_dense(
         self,
         counts: np.ndarray,
         q_lens: np.ndarray,
         left: np.ndarray,
-        run_lens: np.ndarray,
-        total_pairs: int,
-    ) -> None:
-        """CSR gather + flat bincount intersection counting (one tile).
-
-        All ``total_pairs``-sized scratch comes from the workspace, and
-        the gather/key arrays are built with boundary-difference +
-        cumsum passes (a ``np.repeat`` equivalent that writes into a
-        reused buffer instead of allocating).
-        """
-        n_queries, n_series = counts.shape
-        if total_pairs == 0:
-            counts.fill(0.0)
-            return
-        nz = run_lens > 0
-        lens = run_lens[nz]
-        starts = left[nz]
-        qid_per_cell = np.repeat(np.arange(n_queries, dtype=np.int64), q_lens)
-        key_base = (qid_per_cell * n_series)[nz]
-        bpos = np.cumsum(lens) - lens  # first flat position of each run
-
-        # flat[i] = starts[r] + (i - bpos[r]) for i inside run r, via
-        # per-element deltas (+1 inside a run, jump at boundaries).
-        flat = self.workspace.buffer("flat", total_pairs, np.int64)
-        flat.fill(1)
-        flat[0] = starts[0]
-        if lens.size > 1:
-            flat[bpos[1:]] = starts[1:] - (starts[:-1] + lens[:-1]) + 1
-        np.cumsum(flat, out=flat)
-
-        owners = self.workspace.buffer("owners", total_pairs, np.int64)
-        np.take(self.searcher._owners, flat, out=owners)
-
-        # keys[i] = key_base[r] + owner, with key_base expanded by the
-        # same boundary-delta trick (reusing the flat buffer).
-        keys = flat
-        keys.fill(0)
-        keys[0] = key_base[0]
-        if lens.size > 1:
-            keys[bpos[1:]] = key_base[1:] - key_base[:-1]
-        np.cumsum(keys, out=keys)
-        np.add(keys, owners, out=keys)
-
-        np.copyto(counts, np.bincount(keys, minlength=counts.size).reshape(counts.shape))
-
-    def _counts_dense(
-        self, counts: np.ndarray, q_lens: np.ndarray, q_cells: np.ndarray
+        right: np.ndarray,
     ) -> None:
         """One-hot GEMM intersection counting (one tile).
 
+        ``left`` holds each query cell's vocabulary column; cells absent
+        from the index (an empty ``left:right`` range, e.g. Algorithm 6
+        out-of-bound cells) match nothing and are dropped from the
+        one-hot rows.
         Counts are sums of 0/1 products bounded by the query set size,
         far below float32's 2^24 exact-integer range, so the GEMM
         result equals the bincount result exactly.
         """
         n_queries, n_series = counts.shape
-        distinct = self.searcher.vocabulary()
-        rank = np.searchsorted(distinct, q_cells)
-        # Query cells absent from the index (e.g. Algorithm 6 out-of-
-        # bound cells) match nothing; drop them from the one-hot rows.
-        present = rank < distinct.size
-        present &= distinct[np.where(present, rank, 0)] == q_cells
-        rank = rank[present]
+        present = right > left
+        rank = left[present]
         if rank.size == 0:
             counts.fill(0.0)
             return
         onehot = self._onehot_matrix()
-        width = distinct.size
+        width = onehot.shape[0]
 
         qmat = self.workspace.buffer("qmat", n_queries * width, np.float32).reshape(
             n_queries, width
@@ -499,8 +443,8 @@ class BatchQueryEngine:
         vocabulary (out-of-vocabulary cells, e.g. Algorithm 6 IDs,
         intersect nothing and drop out), and one
         ``popcount(matrix & q)`` sweep yields the exact int64 counts
-        for every series — bit-identical to the bincount and GEMM
-        kernels once copied into the float64 counters.
+        for every series — bit-identical to the postings and GEMM
+        counts once copied into the float64 counters.
         """
         store = self._bitset_store()
         n_queries = len(query_sets)
@@ -529,10 +473,8 @@ class BatchQueryEngine:
         self,
         query_sets: list[np.ndarray],
         q_lens: np.ndarray,
-        q_cells: np.ndarray,
         left: np.ndarray,
-        run_lens: np.ndarray,
-        total_pairs: int,
+        right: np.ndarray,
         k: int,
         kernel: str,
     ) -> list[QueryResult]:
@@ -549,21 +491,23 @@ class BatchQueryEngine:
             )
             self.last_kernels.append(kernel)
             if kernel == "dense":
-                self._counts_dense(counts, q_lens, q_cells)
+                self._counts_dense(counts, q_lens, left, right)
             elif kernel == "bitset":
                 self._counts_bitset(counts, query_sets)
             else:
-                self._counts_sparse(counts, q_lens, left, run_lens, total_pairs)
+                for row, query_set in enumerate(query_sets):
+                    counts[row] = self.searcher.intersection_counts(query_set)
 
         with span("refine"):
-            union = self.workspace.buffer("union", size, np.float64).reshape(
-                n_queries, n_series
-            )
-            np.subtract(self._lengths_f64[None, :], counts, out=union)
-            np.add(union, q_lens.astype(np.float64)[:, None], out=union)
+            # The union |S| + |Q| - count is built in the sims buffer and
+            # divided in place: every term is a small integer, exact in
+            # float64, so the quotient is bit-identical to the scalar
+            # path's int64 arithmetic.
             sims = self.workspace.buffer("sims", size, np.float64).reshape(
                 n_queries, n_series
             )
+            np.subtract(self._lengths_f64, counts, out=sims)
+            sims += q_lens[:, None]
             # Scalar parity: sims = where(union > 0, counts / max(union, 1), 1).
             # union == 0 only when query AND series sets are both empty
             # (Jaccard of two empty sets is defined as 1), so the patch-up
@@ -572,13 +516,12 @@ class BatchQueryEngine:
                 empty = self.workspace.buffer("empty", size, np.bool_).reshape(
                     n_queries, n_series
                 )
-                np.equal(union, 0.0, out=empty)
-                np.maximum(union, 1.0, out=union)
-                np.divide(counts, union, out=sims)
+                np.equal(sims, 0.0, out=empty)
+                np.maximum(sims, 1.0, out=sims)
+                np.divide(counts, sims, out=sims)
                 sims[empty] = 1.0
             else:
-                np.divide(counts, union, out=sims)
-            touched = np.count_nonzero(counts, axis=1)
+                np.divide(counts, sims, out=sims)
 
         with span("select_topk"):
             results: list[QueryResult] = []
@@ -589,10 +532,11 @@ class BatchQueryEngine:
                     Neighbor(similarity=float(row_sims[i]), index=int(i))
                     for i in order
                 ]
+                touched = int(np.count_nonzero(counts[row]))
                 stats = SearchStats(
                     candidates=n_series,
-                    exact_computations=int(touched[row]),
-                    pruned=int(n_series - touched[row]),
+                    exact_computations=touched,
+                    pruned=n_series - touched,
                     final_candidates=len(neighbors),
                 )
                 results.append(QueryResult(neighbors=neighbors, stats=stats))

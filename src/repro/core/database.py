@@ -35,7 +35,7 @@ from ..data.normalize import z_normalize
 from ..exceptions import EmptyDatabaseError, FollowerWriteError, ParameterError
 from ..faults import fault_point
 from ..obs import get_registry, span
-from ..types import as_series
+from ..types import as_series, as_series_list
 from .approximate import ApproximateSearcher
 from .batch import BatchQueryEngine, QueryWorkspace
 from .cache import QueryResultCache
@@ -158,7 +158,7 @@ class STS3Database:
         self.catalog = SegmentCatalog(
             self.sigma, self.epsilon, value_padding=self.value_padding
         )
-        self.catalog.bootstrap([self._prepare(s) for s in series])
+        self.catalog.bootstrap(self._prepare_many(series))
         self.planner = QueryPlanner(
             self.catalog,
             default_scale=self.default_scale,
@@ -209,6 +209,11 @@ class STS3Database:
         # where the error message can still name the offending input.
         arr = as_series(series)
         return z_normalize(arr) if self.normalize else arr
+
+    def _prepare_many(self, collection) -> list[np.ndarray]:
+        """:meth:`_prepare` over many series, validated in one pass."""
+        arrays = as_series_list(collection)
+        return [z_normalize(a) for a in arrays] if self.normalize else arrays
 
     @classmethod
     def _assembly_shell(
@@ -724,7 +729,7 @@ class STS3Database:
                     )
                     for q in queries
                 ]
-            prepared = [self._prepare(q) for q in queries]
+            prepared = self._prepare_many(queries)
             cache = self.result_cache
             if cache is None:
                 return self.planner.execute_batch(

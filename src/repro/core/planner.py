@@ -66,7 +66,7 @@ class SegmentPlan:
     ``offset`` is the global index of the segment's first series: the
     executor adds it to segment-local neighbour indices when merging.
     ``kernel`` is filled in during execution: the batch-engine kernel
-    ("sparse"/"dense"/"bitset") that answered an index-planned segment,
+    ("postings"/"dense"/"bitset") that answered an index-planned segment,
     or ``"scalar"`` for per-query searcher paths.  Plans of the last
     execution are kept on :attr:`QueryPlanner.last_plans`.
     """

@@ -66,7 +66,7 @@ from .. import faults
 from ..exceptions import ParameterError, ReproError
 from ..obs import get_registry, span
 from ..serve.protocol import pack_message
-from ..types import as_series
+from ..types import as_series, as_series_list
 from .executor import available_cpu_count, blas_budget
 from .grid import Bound
 from .heap import KnnHeap
@@ -323,7 +323,7 @@ class ShardedDatabase:
         from ..data.normalize import z_normalize
         from .persistence import save_segments
 
-        series = [as_series(s) for s in series]
+        series = as_series_list(series)
         if not series:
             raise ParameterError("cannot shard an empty collection")
         if normalize and not prepared:

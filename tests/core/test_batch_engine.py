@@ -4,14 +4,16 @@ The contract under test: ``STS3Database.query_batch`` (and the
 underlying :class:`BatchQueryEngine`) must return *exactly* what a
 sequential loop of scalar ``query()`` calls returns — same neighbour
 indices, bit-identical similarities, same stats — for every method,
-every ``k``, every worker count, and both intersection kernels.
+every ``k``, every worker count, and every counting regime.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import STS3Database
-from repro.core.batch import BatchQueryEngine, QueryWorkspace, batch_query
+from repro.core.batch import BatchQueryEngine, QueryWorkspace
 from repro.core.indexed import DictInvertedIndex, IndexedSearcher
 from repro.data.workloads import ecg_workload
 from repro.exceptions import ParameterError
@@ -24,6 +26,17 @@ def _assert_identical(scalar_results, batch_results):
             (n.index, n.similarity) for n in b.neighbors
         ]
         assert a.stats == b.stats
+
+
+#: engine settings reaching each counting regime: the two forceable
+#: kernels, auto, and the postings counter (``dense_limit=0`` gates both
+#: matrices out, which is the only way to reach it on demand).
+REGIMES = [
+    pytest.param({"kernel": "dense"}, id="dense"),
+    pytest.param({"kernel": "bitset"}, id="bitset"),
+    pytest.param({"kernel": "auto"}, id="auto"),
+    pytest.param({"dense_limit": 0}, id="postings"),
+]
 
 
 def _random_sets(rng, count, hi=400, max_size=60, min_size=0):
@@ -107,8 +120,8 @@ class TestDatabaseBatchParity:
 
 
 class TestEngineKernels:
-    @pytest.mark.parametrize("kernel", ["sparse", "dense", "bitset", "auto"])
-    def test_randomized_parity_both_kernels(self, kernel):
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_randomized_parity_both_kernels(self, regime):
         rng = np.random.default_rng(11)
         workspace = QueryWorkspace()
         for _ in range(4):
@@ -120,26 +133,27 @@ class TestEngineKernels:
                 engine = BatchQueryEngine(
                     searcher,
                     workspace=workspace,
-                    kernel=kernel,
                     tile_cells=max(3 * len(searcher.sets), 1),
-                    tile_postings=64,
+                    **regime,
                 )
                 _assert_identical(scalar, engine.query_batch(queries, k=k))
 
-    @pytest.mark.parametrize("kernel", ["sparse", "dense"])
-    def test_empty_sets_and_empty_queries(self, kernel):
+    @pytest.mark.parametrize("regime", REGIMES)
+    def test_empty_sets_and_empty_queries(self, regime):
         # Jaccard of two empty sets is 1.0 on the scalar path; the
         # batch kernels must reproduce that, not 0/0.
-        sets = [
-            np.empty(0, dtype=np.int64),
-            np.array([3, 4], dtype=np.int64),
-            np.array([9], dtype=np.int64),
-        ]
-        searcher = IndexedSearcher(sets)
-        queries = [np.empty(0, dtype=np.int64), np.array([4, 9], dtype=np.int64)]
-        scalar = [searcher.query(q, k=3) for q in queries]
-        batch = batch_query(searcher, queries, k=3, kernel=kernel)
-        _assert_identical(scalar, batch)
+        empty = np.empty(0, dtype=np.int64)
+        queries = [empty, np.array([4, 9], dtype=np.int64)]
+        # an index with one empty set, and one of empty sets only (an
+        # empty vocabulary: every query cell is absent from it)
+        for sets in (
+            [empty, np.array([3, 4], dtype=np.int64), np.array([9], dtype=np.int64)],
+            [empty, empty],
+        ):
+            searcher = IndexedSearcher(sets)
+            scalar = [searcher.query(q, k=3) for q in queries]
+            batch = BatchQueryEngine(searcher, **regime).query_batch(queries, k=3)
+            _assert_identical(scalar, batch)
 
     def test_workspace_reuse_across_batch_shapes(self):
         rng = np.random.default_rng(3)
@@ -155,12 +169,10 @@ class TestEngineKernels:
         rng = np.random.default_rng(5)
         searcher = IndexedSearcher(_random_sets(rng, 50))
         queries = _random_sets(rng, 40)
-        engine = BatchQueryEngine(
-            searcher, tile_cells=len(searcher.sets), tile_postings=1
-        )
+        engine = BatchQueryEngine(searcher, tile_cells=len(searcher.sets))
         scalar = [searcher.query(q, k=2) for q in queries]
         _assert_identical(scalar, engine.query_batch(queries, k=2))
-        # one query per tile under these budgets
+        # one query per tile under this budget
         assert len(engine.last_kernels) == len(queries)
 
         # One query more than a tile holds: two even tiles, not a full
@@ -168,22 +180,16 @@ class TestEngineKernels:
         n_series = len(searcher.sets)
         queries = _random_sets(rng, 201)
         scalar = [searcher.query(q, k=2) for q in queries]
-        for kernel in ("dense", "bitset", "sparse"):
+        for regime in ({"kernel": "dense"}, {"kernel": "bitset"}, {"dense_limit": 0}):
             engine = BatchQueryEngine(
-                searcher, kernel=kernel, tile_cells=200 * n_series
+                searcher, tile_cells=200 * n_series, **regime
             )
-            tiles = engine._tiles(np.zeros(201, dtype=np.int64), n_series, kernel)
+            tiles = engine._tiles(201, n_series)
             widths = [stop - start for start, stop in tiles]
             assert len(tiles) == 2 and max(widths) <= 200
             assert min(widths) >= max(widths) / 2
             _assert_identical(scalar, engine.query_batch(queries, k=2))
             assert len(engine.last_kernels) == 2
-        # The sparse kernel's pair budget still binds: uneven pair
-        # counts that no even cut fits keep the greedy one.
-        engine = BatchQueryEngine(searcher, kernel="sparse", tile_postings=10)
-        pairs = np.array([1, 1, 1, 1, 1, 1, 9, 9], dtype=np.int64)
-        for start, stop in engine._tiles(pairs, n_series, "sparse"):
-            assert stop - start == 1 or pairs[start:stop].sum() <= 10
 
     def test_thin_batches_never_run_dense(self):
         # ECG dense-overlap shape: every series shares cells with every
@@ -210,18 +216,81 @@ class TestEngineKernels:
         engine = BatchQueryEngine(searcher)
         engine.query_batch(_random_sets(rng, 5), k=1)
         assert engine.last_kernels
-        assert set(engine.last_kernels) <= {"sparse", "dense", "bitset"}
+        assert set(engine.last_kernels) <= {"postings", "dense", "bitset"}
+
+    def test_postings_regime_runs_when_both_matrices_are_gated(self):
+        rng = np.random.default_rng(9)
+        searcher = IndexedSearcher(_random_sets(rng, 100))
+        engine = BatchQueryEngine(searcher, dense_limit=0)
+        queries = _random_sets(rng, 40, hi=450)
+        results = engine.query_batch(queries, k=3)
+        assert engine.last_kernels == ["postings"]
+        assert engine._onehot is None and engine._bitset is None
+        _assert_identical([searcher.query(q, k=3) for q in queries], results)
 
     def test_rejects_bad_parameters(self):
         searcher = IndexedSearcher([np.array([1], dtype=np.int64)])
         with pytest.raises(ParameterError):
             BatchQueryEngine(searcher, kernel="blas")
+        # the postings counter is a fallback, never a forceable kernel,
+        # and the deleted sparse gather is no longer one either
+        for kernel in ("sparse", "postings", "scalar"):
+            with pytest.raises(ParameterError):
+                BatchQueryEngine(searcher, kernel=kernel)
         with pytest.raises(ParameterError):
             BatchQueryEngine(searcher, tile_cells=0)
         with pytest.raises(ParameterError):
-            BatchQueryEngine(searcher, tile_postings=-1)
-        with pytest.raises(ParameterError):
             BatchQueryEngine(searcher).query_batch([], k=0)
+
+
+class TestKernelPrices:
+    """The unit-cost model is pure arithmetic over index and batch
+    shapes, so its picks are machine-independent and pinned here.
+
+    Shapes are ``ecg_workload(n, 128, 128, seed=42)`` series under the
+    given grid, measured once: vocabulary size and the mean (query,
+    posting) pairs per query.
+    """
+
+    @staticmethod
+    def _pick(n_series, vocab, pairs_per_query, width):
+        searcher = SimpleNamespace(
+            sets=range(n_series),
+            lengths=np.ones(n_series, dtype=np.int64),
+            vocabulary=lambda: np.arange(vocab, dtype=np.int64),
+        )
+        engine = BatchQueryEngine(searcher)
+        n_tiles = len(engine._tiles(width, n_series))
+        prices = engine._prices(width, pairs_per_query * width, n_tiles)
+        return engine._choose_kernel(prices)
+
+    # sigma=3 epsilon=0.58, the end-to-end benchmark's grid
+    @pytest.mark.parametrize(
+        "n_series, vocab, pairs",
+        [(4000, 727, 138_712), (10_000, 740, 336_870), (20_000, 753, 704_392)],
+    )
+    def test_end_to_end_grid_picks(self, n_series, vocab, pairs):
+        picks = [self._pick(n_series, vocab, pairs, w) for w in (1, 2, 8, 64)]
+        assert picks == ["bitset", "bitset", "dense", "dense"]
+
+    # sigma=3 epsilon=0.2: a 16-row GEMM measured 1.3x slower than the
+    # postings counter, a 32-row one faster (the row floor's reason)
+    @pytest.mark.parametrize(
+        "n_series, vocab, pairs", [(4000, 2015, 115_458), (20_000, 2102, 574_788)]
+    )
+    def test_finer_epsilon_keeps_16_rows_off_the_gemm(self, n_series, vocab, pairs):
+        assert self._pick(n_series, vocab, pairs, 16) == "postings"
+        assert self._pick(n_series, vocab, pairs, 32) == "dense"
+
+    def test_fine_grid_picks_postings(self):
+        # sigma=1 epsilon=0.1: ~12k cells, sparse intersections
+        for width in (1, 2, 8, 64):
+            assert self._pick(20_000, 11_941, 170_685, width) == "postings"
+
+    def test_forced_kernel_ignores_prices(self):
+        searcher = IndexedSearcher([np.array([1, 2], dtype=np.int64)])
+        engine = BatchQueryEngine(searcher, kernel="dense")
+        assert engine._choose_kernel({"postings": 0, "bitset": 5}) == "dense"
 
 
 class TestIndexVariantParity:

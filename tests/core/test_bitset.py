@@ -210,7 +210,8 @@ class TestSearcherParity:
 
 
 class TestBatchKernelParity:
-    """Forced kernel="bitset" matches "sparse" and "dense" bit-for-bit."""
+    """Forced kernel="bitset" matches "dense" and the scalar
+    ``IndexedSearcher`` loop bit-for-bit."""
 
     def _results(self, sets, queries, kernel, k=4):
         searcher = IndexedSearcher(sets)
@@ -225,9 +226,10 @@ class TestBatchKernelParity:
         ]
         by_kernel = {
             kernel: self._results(sets, queries, kernel)
-            for kernel in ("sparse", "dense", "bitset")
+            for kernel in ("dense", "bitset")
         }
-        reference = by_kernel["sparse"]
+        searcher = IndexedSearcher(sets)
+        reference = [searcher.query(q, k=4) for q in queries]
         for kernel in ("dense", "bitset"):
             for ref, got in zip(reference, by_kernel[kernel]):
                 assert [(n.index, n.similarity) for n in ref.neighbors] == [
@@ -263,7 +265,7 @@ class TestBatchKernelParity:
         # pair count explode.  With the GEMM workspace priced out by
         # ``dense_limit`` the packed matrix (64x smaller, one word wide
         # here) is the only dense-style option left, and the cost model
-        # must pick it over the sparse gather.
+        # must pick it over the postings counter.
         rng = np.random.default_rng(4)
         sets = [
             np.unique(rng.integers(0, 50, size=40)).astype(np.int64)
@@ -294,7 +296,7 @@ class TestPlannerKernelRecording:
         small_db.query_batch(list(small_workload.queries[:4]), k=2, method="index")
         plans = small_db.planner.last_plans
         assert plans
-        assert plans[0].kernel in {"sparse", "dense", "bitset"}
+        assert plans[0].kernel in {"postings", "dense", "bitset"}
 
     def test_scalar_query_records_scalar_kernel(self, small_db, small_workload):
         small_db.query(small_workload.queries[0], k=1, method="pruning")

@@ -91,15 +91,31 @@ class TestBatchSpans:
 
         tiles = fresh_registry.counter("sts3_batch_tiles_total")
         kernel_total = sum(
-            tiles.value(kernel=name) for name in ("sparse", "dense", "bitset")
+            tiles.value(kernel=name) for name in ("postings", "dense", "bitset")
         )
         assert kernel_total == counts["tile"]
         selected = fresh_registry.counter("sts3_kernel_selected_total")
         assert sum(
-            selected.value(kernel=name) for name in ("sparse", "dense", "bitset")
+            selected.value(kernel=name) for name in ("postings", "dense", "bitset")
         ) == 1.0
         batch_counter = fresh_registry.counter("sts3_batch_queries_total")
         assert batch_counter.value(method="index") == 6.0
+
+    def test_plan_span_carries_kernel_prices(self, small_db, small_workload):
+        _, tracer = traced(
+            lambda: small_db.query_batch(small_workload.queries[:6], k=3,
+                                         method="index")
+        )
+        plans = [
+            s.attrs for s in tracer.finished()
+            if s.name == "filter" and s.attrs.get("phase") == "plan_tiles"
+        ]
+        assert len(plans) == 1
+        prices, kernel = plans[0]["prices"], plans[0]["kernel"]
+        # postings is always priced; a matrix kernel only where it fits
+        assert "postings" in prices and set(prices) <= {"postings", "bitset", "dense"}
+        assert all(isinstance(p, int) and p >= 0 for p in prices.values())
+        assert kernel == min(prices, key=prices.__getitem__)
 
     def test_tile_children_account_for_stage_time(self, small_db, small_workload):
         _, tracer = traced(

@@ -119,7 +119,7 @@ class TestDefaultMethod:
         db = STS3Database(workload.database, sigma=3, epsilon=0.58)
         db.query_batch([workload.queries[0]], k=5)
         kernels = [plan.kernel for plan in db.planner.last_plans]
-        assert kernels and set(kernels) <= {"bitset", "sparse"}
+        assert kernels and set(kernels) <= {"bitset", "postings"}
 
 
 class TestMergeDeterminism:

@@ -60,6 +60,29 @@ class TestPublicApiRaises:
         with pytest.raises(DatasetError):
             STS3Database([np.array([])], sigma=1, epsilon=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("caller", ["constructor", "query_batch", "shard_build"])
+    def test_collection_callers_reject_non_finite_series(self, caller, bad, tmp_path):
+        """A collection is validated in one pass; one bad value in series
+        ``i`` of many (past the first stacked chunk) is still refused."""
+        import numpy as np
+
+        from repro import STS3Database
+        from repro.core.shard import ShardedDatabase
+
+        rng = np.random.default_rng(1)
+        many = [rng.normal(size=128) for _ in range(5000)]
+        many[4321] = many[4321].copy()
+        many[4321][77] = bad
+        with pytest.raises(DatasetError, match="NaN or infinite"):
+            if caller == "constructor":
+                STS3Database(many, sigma=1, epsilon=1)
+            elif caller == "query_batch":
+                db = STS3Database(many[:20], sigma=1, epsilon=1)
+                db.query_batch(many, k=1, method="index")
+            else:
+                ShardedDatabase.build(many, 2, tmp_path / "s", sigma=1, epsilon=1)
+
     def test_database_rejects_nan_insert(self):
         import numpy as np
 

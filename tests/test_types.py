@@ -9,6 +9,7 @@ from repro.types import (
     LabeledDataset,
     Workload,
     as_series,
+    as_series_list,
     series_dim,
     series_length,
 )
@@ -38,6 +39,45 @@ class TestAsSeries:
     def test_rejects_inf(self):
         with pytest.raises(DatasetError):
             as_series([1.0, float("inf")])
+
+
+class TestAsSeriesList:
+    def test_matches_as_series_per_series(self):
+        rng = np.random.default_rng(0)
+        collection = [
+            [1, 2, 3],
+            np.zeros((4, 2)),
+            rng.normal(size=7).astype(np.float32),
+            rng.normal(size=130),
+        ]
+        out = as_series_list(collection)
+        assert len(out) == len(collection)
+        for got, values in zip(out, collection):
+            want = as_series(values)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((2, 2, 2)), [], [1.0, float("nan")], [float("inf"), 1.0]],
+        ids=["3d", "empty", "nan", "inf"],
+    )
+    def test_same_errors_as_as_series(self, bad):
+        with pytest.raises(DatasetError) as single:
+            as_series(bad)
+        with pytest.raises(DatasetError) as many:
+            as_series_list([np.ones(4), bad, np.ones(3)])
+        assert str(many.value) == str(single.value)
+
+    @pytest.mark.parametrize("position", [0, 4095, 4096, 9999])
+    def test_non_finite_found_in_any_chunk(self, position):
+        collection = [np.ones(128) for _ in range(10_000)]
+        collection[position] = np.ones(128)
+        collection[position][-1] = float("nan")
+        with pytest.raises(DatasetError):
+            as_series_list(collection)
+        collection[position][-1] = 1.0
+        assert len(as_series_list(collection)) == 10_000
 
 
 class TestSeriesHelpers:
