@@ -6,7 +6,7 @@ buffered updates and the parameter-tuning utilities.
 """
 
 from .approximate import ApproximateSearcher
-from .batch import BatchQueryEngine, QueryWorkspace, batch_query
+from .batch import BatchQueryEngine, QueryWorkspace
 from .bitset import BitsetStore, popcount_u64, popcount_u64_lut
 from .cache import CandidateCache, LRUBytesCache, QueryResultCache, fingerprint
 from .catalog import CatalogSnapshot, QuarantineRecord, SegmentCatalog
@@ -118,7 +118,6 @@ __all__ = [
     "WorkerDied",
     "WriteAheadLog",
     "aggregate_stats",
-    "batch_query",
     "cluster_series",
     "default_epsilon_grid",
     "default_sigma_grid",

@@ -1,10 +1,7 @@
 """Vectorized batch query engine over the inverted index.
 
-The scalar :meth:`IndexedSearcher.query` path pays, per query, the
-Python dispatch of ~a dozen numpy calls, a list comprehension over one
-postings slice per query cell, fresh counter allocations, and a top-k
-selection.  For a *batch* of queries all of that overhead can be paid
-once per batch instead of once per query:
+Every ``index`` query is answered here — a scalar query as a batch of
+one — paying the fixed per-call work once per batch:
 
 1. **Query-side CSR layout** — all query cell sets are concatenated
    into one values array with a parallel query-id row index (the CSR
@@ -12,21 +9,21 @@ once per batch instead of once per query:
 2. **One-pass postings location** — a single pair of
    ``np.searchsorted`` calls against the index vocabulary ranks every
    (query, cell) pair at once; a cell absent from the index (e.g. an
-   Algorithm 6 ID) gets an empty rank range.  Through the offset of
-   each vocabulary cell's postings run, taken once per engine, the
-   ranks give the exact count of (query, posting) pairs the batch
-   touches before any heavy work — which prices the postings regime
-   below — and they are the dense kernel's one-hot columns.
+   Algorithm 6 ID) gets an empty rank range.  Through where each
+   vocabulary cell's postings run starts, the ranks give each cell's
+   run and the exact count of (query, posting) pairs the batch touches
+   before any heavy work — which prices the postings regime below —
+   and they are the matrix kernels' columns.
 3. **Intersection counting**, by one of three regimes:
 
    - *postings* — Algorithm 3's own counter:
-     :meth:`IndexedSearcher.intersection_counts` fills each query's row
-     (gather the postings of every query cell, ``bincount`` the
-     owners).  Work is proportional to the pairs actually touched plus
-     one ``n_series`` counter per query, so it wins when intersections
-     are sparse (fine grids) and it is the fallback whenever both
-     matrices below are gated out by ``dense_limit``.  It is never
-     forced by a ``kernel=`` value.
+     :meth:`IndexedSearcher.count_runs` fills each query's row from the
+     located runs (gather the postings of every query cell,
+     ``bincount`` the owners).  Work is proportional to the pairs
+     actually touched plus one ``n_series`` counter per query, so it
+     wins when intersections are sparse (fine grids) and it is the
+     fallback whenever both matrices below are gated out by
+     ``dense_limit``.  It is never forced by a ``kernel=`` value.
    - *dense/one-hot kernel* — materialize the database side once as a
      one-hot ``(distinct cells × n_series)`` float32 matrix and compute
      all counters as a BLAS matmul with the batch's one-hot query
@@ -57,18 +54,15 @@ once per batch instead of once per query:
    tie-break (similarity descending, index ascending).
 
 A :class:`QueryWorkspace` keeps every recurring buffer alive between
-batches.  This matters twice: steady-state batches allocate (almost)
-nothing, and — more importantly on cgroup-limited or overcommitted
-hosts, where first-touch page faults on fresh tens-of-MB allocations
-can be an order of magnitude slower than warm writes — the kernels only
-ever stream through already-faulted pages.  Large batches are processed
-in even tiles bounded by counter cells (``tile_cells``) so peak scratch
-memory is constant.
+batches, so steady-state batches allocate (almost) nothing and the
+kernels stream through already-faulted pages (first-touch faults on
+fresh tens-of-MB allocations can cost an order of magnitude more than
+warm writes).  Large batches run in even tiles bounded by counter
+cells (``tile_cells``), so peak scratch memory is constant.
 
-The engine returns *exactly* what the scalar path returns — same
-neighbours, same similarities (bit for bit), same ``SearchStats``
-counters — so :meth:`STS3Database.query_batch` swaps it in
-transparently.
+The engine returns *exactly* what the reference
+:meth:`IndexedSearcher.query` returns — same neighbours, same
+similarities (bit for bit), same ``SearchStats`` counters.
 """
 
 from __future__ import annotations
@@ -83,7 +77,7 @@ from .bitset import BitsetStore
 from .result import Neighbor, QueryResult, SearchStats
 from .selection import top_k_indices
 
-__all__ = ["QueryWorkspace", "BatchQueryEngine", "batch_query"]
+__all__ = ["QueryWorkspace", "BatchQueryEngine"]
 
 #: values of ``kernel=``; the postings regime is never forced.
 _KERNELS = ("auto", "dense", "bitset")
@@ -224,7 +218,6 @@ class BatchQueryEngine:
         # engine under the segment lock but never builds into one).
         self._build_lock = threading.Lock()
         self._onehot: np.ndarray | None = None
-        self._run_starts: np.ndarray | None = None
         #: a BitsetStore, a zero-arg supplier for one, or None.
         self._bitset = bitset_store
         #: regime chosen for each tile of the last query_batch call
@@ -264,16 +257,17 @@ class BatchQueryEngine:
                 if q_indptr[-1]
                 else np.empty(0, dtype=np.int64)
             )
-            # One searchsorted pair for the WHOLE batch, into the
-            # vocabulary (small and cache-resident, unlike the
-            # postings): cell i of the batch has vocabulary ranks
-            # left[i]:right[i] (empty when absent), and the exact count
-            # of (query, posting) pairs prices the postings regime.
+            # One searchsorted pair for the WHOLE batch, into the small,
+            # cache-resident vocabulary: cell i of the batch has ranks
+            # left[i]:right[i] (empty when absent) and postings run
+            # runs[0][i]:runs[1][i]; the runs' total length prices the
+            # postings regime, which then counts them without a search.
             distinct = self.searcher.vocabulary()
             left = np.searchsorted(distinct, q_cells, side="left")
             right = np.searchsorted(distinct, q_cells, side="right")
-            starts = self._postings_starts()
-            total_pairs = int((starts[right] - starts[left]).sum())
+            starts = self.searcher.postings_starts()
+            runs = (starts[left], starts[right])
+            total_pairs = int((runs[1] - runs[0]).sum())
 
         # The choice is per batch: the dense GEMM's economics depend on
         # the whole batch's width and tiling.
@@ -296,10 +290,10 @@ class BatchQueryEngine:
             with span("tile", kernel=kernel, queries=stop - start):
                 results.extend(
                     self._run_tile(
-                        query_sets[start:stop],
                         q_lens[start:stop],
                         left[cell_slice],
-                        right[cell_slice],
+                        runs[0][cell_slice],
+                        runs[1][cell_slice],
                         k,
                         kernel,
                     )
@@ -373,15 +367,6 @@ class BatchQueryEngine:
                     )
         return self._bitset
 
-    def _postings_starts(self) -> np.ndarray:
-        """Where each vocabulary cell's postings run starts, then the
-        postings' end: run ``i`` is ``starts[i]:starts[i + 1]``."""
-        if self._run_starts is None:
-            cells = self.searcher._cells
-            starts = np.searchsorted(cells, self.searcher.vocabulary())
-            self._run_starts = np.append(starts, cells.size)
-        return self._run_starts
-
     def _onehot_matrix(self) -> np.ndarray:
         """One-hot (distinct cells × n_series) float32 matrix, built once."""
         if self._onehot is None:
@@ -400,20 +385,19 @@ class BatchQueryEngine:
         counts: np.ndarray,
         q_lens: np.ndarray,
         left: np.ndarray,
-        right: np.ndarray,
+        present: np.ndarray,
     ) -> None:
         """One-hot GEMM intersection counting (one tile).
 
         ``left`` holds each query cell's vocabulary column; cells absent
-        from the index (an empty ``left:right`` range, e.g. Algorithm 6
-        out-of-bound cells) match nothing and are dropped from the
-        one-hot rows.
+        from the index (``present`` false: an empty postings run, e.g.
+        Algorithm 6 out-of-bound cells) match nothing and are dropped
+        from the one-hot rows.
         Counts are sums of 0/1 products bounded by the query set size,
         far below float32's 2^24 exact-integer range, so the GEMM
         result equals the bincount result exactly.
         """
         n_queries, n_series = counts.shape
-        present = right > left
         rank = left[present]
         if rank.size == 0:
             counts.fill(0.0)
@@ -435,19 +419,22 @@ class BatchQueryEngine:
         np.copyto(counts, out)
 
     def _counts_bitset(
-        self, counts: np.ndarray, query_sets: list[np.ndarray]
+        self,
+        counts: np.ndarray,
+        q_lens: np.ndarray,
+        left: np.ndarray,
+        present: np.ndarray,
     ) -> None:
         """Packed popcount intersection counting (one tile).
 
-        Each query packs into ``n_words`` uint64 words over the store
-        vocabulary (out-of-vocabulary cells, e.g. Algorithm 6 IDs,
-        intersect nothing and drop out), and one
-        ``popcount(matrix & q)`` sweep yields the exact int64 counts
-        for every series — bit-identical to the postings and GEMM
-        counts once copied into the float64 counters.
+        Each query packs into ``n_words`` uint64 words from its cells'
+        vocabulary ranks — the store's columns (cells absent from the
+        index, e.g. Algorithm 6 IDs, drop out) — and one
+        ``popcount(matrix & q)`` sweep yields the exact int64 counts for
+        every series, bit-identical to the postings and GEMM counts.
         """
         store = self._bitset_store()
-        n_queries = len(query_sets)
+        n_queries = len(q_lens)
         n_series, n_words = store.matrix.shape
         with span(
             "kernel.bitset", rows=n_series * n_queries, words=n_words
@@ -455,7 +442,8 @@ class BatchQueryEngine:
             if n_words == 0:
                 counts.fill(0.0)
                 return
-            packed = np.stack([store.pack(qs) for qs in query_sets])
+            rows = np.repeat(np.arange(n_queries, dtype=np.int64), q_lens)
+            packed = store.pack_columns(n_queries, rows[present], left[present])
             # Broadcast whole query blocks against the matrix at once;
             # the block size keeps the (block, n_series, n_words) AND
             # scratch within ~16 MiB regardless of shape.
@@ -471,14 +459,14 @@ class BatchQueryEngine:
 
     def _run_tile(
         self,
-        query_sets: list[np.ndarray],
         q_lens: np.ndarray,
         left: np.ndarray,
-        right: np.ndarray,
+        run_starts: np.ndarray,
+        run_stops: np.ndarray,
         k: int,
         kernel: str,
     ) -> list[QueryResult]:
-        n_queries = len(query_sets)
+        n_queries = len(q_lens)
         n_series = len(self.searcher.sets)
         size = n_queries * n_series
 
@@ -491,12 +479,14 @@ class BatchQueryEngine:
             )
             self.last_kernels.append(kernel)
             if kernel == "dense":
-                self._counts_dense(counts, q_lens, left, right)
+                self._counts_dense(counts, q_lens, left, run_stops > run_starts)
             elif kernel == "bitset":
-                self._counts_bitset(counts, query_sets)
+                self._counts_bitset(counts, q_lens, left, run_stops > run_starts)
             else:
-                for row, query_set in enumerate(query_sets):
-                    counts[row] = self.searcher.intersection_counts(query_set)
+                cuts = np.cumsum(q_lens)[:-1]
+                runs = zip(np.split(run_starts, cuts), np.split(run_stops, cuts))
+                for row, (lo, hi) in enumerate(runs):
+                    counts[row] = self.searcher.count_runs(lo, hi)
 
         with span("refine"):
             # The union |S| + |Q| - count is built in the sims buffer and
@@ -542,14 +532,3 @@ class BatchQueryEngine:
                 results.append(QueryResult(neighbors=neighbors, stats=stats))
         return results
 
-
-def batch_query(
-    searcher,
-    query_sets: list[np.ndarray],
-    k: int = 1,
-    workspace: QueryWorkspace | None = None,
-    kernel: str = "auto",
-) -> list[QueryResult]:
-    """One-shot convenience wrapper around :class:`BatchQueryEngine`."""
-    engine = BatchQueryEngine(searcher, workspace=workspace, kernel=kernel)
-    return engine.query_batch(query_sets, k=k)

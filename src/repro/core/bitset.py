@@ -46,6 +46,10 @@ __all__ = [
 #: numpy >= 2.0 ships a vectorized popcount ufunc.
 HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
+#: bytes of 0/1 column flags :class:`BitsetStore` packs per block of
+#: rows: small blocks reuse warm heap pages instead of faulting fresh ones.
+_PACK_BLOCK_BYTES = 1 << 17
+
 #: per-byte popcount table for the numpy < 2.0 fallback.
 _BYTE_POPCOUNT = np.array(
     [bin(value).count("1") for value in range(256)], dtype=np.uint8
@@ -119,23 +123,35 @@ class BitsetStore:
             )
         self.use_lut = bool(use_lut)
         self.lengths = np.asarray([len(s) for s in sets], dtype=np.int64)
-        total = int(self.lengths.sum())
-        all_cells = (
-            np.concatenate(sets) if total else np.empty(0, dtype=np.int64)
-        )
-        self.vocab = np.unique(all_cells) if vocab is None else vocab
+        if vocab is None:
+            vocab = np.unique(
+                np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
+            )
+        self.vocab = vocab
         self.n_words = (self.vocab.size + 63) // 64
         self.matrix = np.zeros((len(sets), self.n_words), dtype=np.uint64)
-        if total:
-            # Every set is a subset of the vocabulary by construction,
-            # so the searchsorted rank is exact — no membership check.
-            columns = np.searchsorted(self.vocab, all_cells)
-            rows = np.repeat(
-                np.arange(len(sets), dtype=np.int64), self.lengths
+        if not self.lengths.sum():
+            return
+        # A cell's column comes from an ID -> column table where the
+        # vocabulary spans no more IDs than there are cells, else from a
+        # binary search (every stored cell is in the vocabulary, so no
+        # membership check); rows are packed a block at a time.
+        low, high = int(vocab[0]), int(vocab[-1])
+        table = None
+        if high - low < self.lengths.sum():
+            table = np.empty(high - low + 1, dtype=np.int64)
+            table[vocab - low] = np.arange(vocab.size)
+        block = max(1, _PACK_BLOCK_BYTES // (64 * self.n_words))
+        for start in range(0, len(sets), block):
+            cells = np.concatenate(sets[start : start + block])
+            lengths = self.lengths[start : start + block]
+            rows = np.repeat(np.arange(lengths.size), lengths)
+            columns = (
+                np.searchsorted(vocab, cells) if table is None else table[cells - low]
             )
-            flat = rows * self.n_words + (columns >> 6)
-            bits = np.uint64(1) << (columns & 63).astype(np.uint64)
-            np.bitwise_or.at(self.matrix.reshape(-1), flat, bits)
+            self.matrix[start : start + block] = self.pack_columns(
+                lengths.size, rows, columns
+            )
 
     def __len__(self) -> int:
         return self.matrix.shape[0]
@@ -155,28 +171,35 @@ class BitsetStore:
         stored set and are dropped; the caller keeps using the full
         ``len(cell_set)`` for the union term.
         """
-        words = np.zeros(self.n_words, dtype=np.uint64)
         cells = np.asarray(cell_set, dtype=np.int64)
         if cells.size == 0 or self.vocab.size == 0:
-            return words
+            return np.zeros(self.n_words, dtype=np.uint64)
         ranks = np.searchsorted(self.vocab, cells)
         present = ranks < self.vocab.size
         present &= self.vocab[np.where(present, ranks, 0)] == cells
         columns = ranks[present]
-        if columns.size:
-            np.bitwise_or.at(
-                words,
-                columns >> 6,
-                np.uint64(1) << (columns & 63).astype(np.uint64),
-            )
-        return words
+        return self.pack_columns(1, np.zeros_like(columns), columns)[0]
+
+    def pack_columns(
+        self, n_rows: int, rows: np.ndarray, columns: np.ndarray
+    ) -> np.ndarray:
+        """``(n_rows, n_words)`` words with vocabulary column
+        ``columns[j]`` set in row ``rows[j]``: one 0/1 byte per column,
+        folded by ``np.packbits`` in little-endian bit order, which puts
+        column ``c`` at bit ``c % 64`` of word ``c // 64``."""
+        flags = np.zeros((n_rows, 64 * self.n_words), dtype=np.bool_)
+        flags[rows, columns] = True
+        packed = np.packbits(flags, axis=1, bitorder="little")
+        return packed.view("<u8").astype(np.uint64, copy=False)
 
     # -- popcount kernels ------------------------------------------------
 
     def _popcount(self, words: np.ndarray) -> np.ndarray:
+        """Per-word popcounts (uint8 from the ufunc, int64 from the
+        table); callers sum them in int64."""
         if self.use_lut:
             return popcount_u64_lut(words)
-        return np.bitwise_count(words).astype(np.int64)
+        return np.bitwise_count(words)
 
     def _sweep(self, rows: np.ndarray, q_words: np.ndarray) -> np.ndarray:
         """``popcount(rows & q)`` summed per row — the shared inner kernel."""

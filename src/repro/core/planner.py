@@ -1,15 +1,16 @@
 """Per-segment query planning and execution (DESIGN.md §10).
 
 :class:`QueryPlanner` turns ``(query, k, method)`` into one
-:class:`SegmentPlan` per live segment, runs each segment's searcher
-under its own grid, and merges the per-segment top-k (plus the update
+:class:`SegmentPlan` per live segment, runs each segment under its
+own grid — the batch engine for ``index``, one query or many, else the
+method's searcher — and merges the per-segment top-k (plus the update
 buffer) with the deterministic ``(similarity desc, index asc)``
 tie-break — the Lernaean-Hydra-style per-partition answer merge, but
 with bit-exact parity guarantees against the pre-segmented engine:
 
 - On a single-segment catalog with an empty buffer the planner returns
-  the segment result *unchanged* — same neighbours, same stats, same
-  spans as the seed's monolithic path.
+  the segment result *unchanged* — same neighbours, same stats as the
+  seed's monolithic path.
 - Delta segments (sealed buffers) are always searched *exactly*, even
   when ``method="approximate"`` was requested: the seed scanned the
   buffer exhaustively, and a sealed buffer keeps that contract.  The
@@ -182,25 +183,58 @@ class QueryPlanner:
         deadline_ms: float | None = None,
         deadline_start: float | None = None,
     ) -> QueryResult:
-        """Answer one prepared (validated/normalized) query.
+        """Answer one prepared query: :meth:`execute_batch` of one."""
+        return self.execute_batch(
+            [prepared], k, method, scale=scale, max_scale=max_scale,
+            buffer=buffer, deadline_ms=deadline_ms,
+            deadline_start=deadline_start,
+        )[0]
+
+    def execute_batch(
+        self,
+        prepared_queries: list[np.ndarray],
+        k: int,
+        method: str,
+        scale: int | None = None,
+        max_scale: int | None = None,
+        buffer=None,
+        workspace: QueryWorkspace | None = None,
+        deadline_ms: float | None = None,
+        deadline_start: float | None = None,
+    ) -> list[QueryResult]:
+        """Answer prepared (validated/normalized) queries, in input order.
+
+        Segments planned as ``index`` run the whole batch through their
+        :class:`~repro.core.batch.BatchQueryEngine` (``workspace`` seeds
+        a new engine's scratch); other segments loop their searcher.
 
         ``deadline_ms`` arms the degradation ladder, exact → skipped:
         every segment runs its planned method, and a segment that would
         *start* past the budget is skipped instead (the first segment
-        always runs, so the answer is never empty).  Quarantined
-        payloads on the catalog degrade the answer unconditionally.
-        Degraded answers carry ``complete=False``, the reason and the
-        names of what is missing — the Lernaean-Hydra serving stance: a
-        timely partial answer over a late complete one or an exception,
-        and never a silently different method.
+        always runs, so the answer is never empty).  The budget is per
+        query, so each query then runs as its own one-query pass.
+        Quarantined payloads on the catalog degrade the answer
+        unconditionally.  Degraded answers carry ``complete=False``,
+        the reason and the names of what is missing — the
+        Lernaean-Hydra serving stance: a timely partial answer over a
+        late complete one or an exception, and never a silently
+        different method.
 
         ``deadline_start`` anchors the budget at an *earlier*
         :attr:`clock` reading: the serving layer stamps each request at
         arrival and passes the stamp through, so time spent queued
         behind other requests counts against the budget exactly like
         time spent searching (docs/serving.md).  ``None`` (the default)
-        starts the budget now, preserving the direct-call semantics.
+        starts each query's budget when its pass starts.
         """
+        if deadline_ms is not None and len(prepared_queries) > 1:
+            return [
+                self.execute_batch(
+                    [prepared], k, method, scale, max_scale, buffer,
+                    workspace, deadline_ms, deadline_start,
+                )[0]
+                for prepared in prepared_queries
+            ]
         scale = self.default_scale if scale is None else int(scale)
         max_scale = self.default_max_scale if max_scale is None else int(max_scale)
         # Pin the catalog for the whole request: a background merge can
@@ -209,12 +243,9 @@ class QueryPlanner:
         # until the pin releases).
         with self.catalog.pinned() as snapshot:
             segments = snapshot.segments
-            with span("plan", method=method, segments=len(segments)):
-                plans = [
-                    replace(p, kernel="scalar")
-                    for p in self.plan(method, snapshot)
-                ]
-                self.last_plans = plans
+            with span("plan", method=method, segments=len(segments),
+                      queries=len(prepared_queries)):
+                plans = self.plan(method, snapshot)
             skipped: list[str] = [q.name for q in snapshot.quarantined]
             reasons = {"quarantine"} if skipped else set()
             if deadline_ms is None:
@@ -224,7 +255,7 @@ class QueryPlanner:
             else:
                 start = float(deadline_start)
 
-            results: list[QueryResult] = []
+            per_segment: list[list[QueryResult]] = []
             executed_plans: list[SegmentPlan] = []
             for position, (segment, plan) in enumerate(zip(segments, plans)):
                 # The budget is read when the segment *starts*, so a
@@ -235,19 +266,37 @@ class QueryPlanner:
                         reasons.add("deadline")
                         skipped.append(f"segment-{segment.segment_id}")
                         continue
-                results.append(self._run_segment(
-                    segment, plan.method, prepared, k, scale, max_scale,
-                ))
-                executed_plans.append(plan)
-            if not reasons and len(results) == 1 and not (
+                if plan.method == "index":
+                    segment.mark_used()
+                    engine = segment.batch_engine(workspace)
+                    with span("transform", queries=len(prepared_queries),
+                              segment=segment.segment_id):
+                        sets = [transform_query(p, segment.grid) for p in prepared_queries]
+                    per_segment.append(engine.query_batch(sets, k=k))
+                    # the one kernel the engine picked, for diagnostics
+                    kernel = engine.last_kernels[-1] if sets else None
+                else:
+                    per_segment.append([
+                        self._run_segment(segment, plan.method, p, k, scale, max_scale)
+                        for p in prepared_queries
+                    ])
+                    kernel = "scalar"
+                plans[position] = replace(plan, kernel=kernel)
+                executed_plans.append(plans[position])
+            self.last_plans = plans
+            if not reasons and len(per_segment) == 1 and not (
                 buffer is not None and len(buffer)
             ):
-                return results[0]
-            merged = self._merge(
-                results, executed_plans, prepared, k, buffer, snapshot
-            )
-            if reasons:
-                self._mark_degraded(merged, skipped, reasons)
+                return per_segment[0]
+            merged = [
+                self._merge(
+                    [res[qi] for res in per_segment], executed_plans,
+                    prepared, k, buffer, snapshot,
+                )
+                for qi, prepared in enumerate(prepared_queries)
+            ]
+            for result in merged if reasons else ():
+                self._mark_degraded(result, skipped, reasons)
             return merged
 
     def _mark_degraded(
@@ -261,71 +310,6 @@ class QueryPlanner:
             "queries answered incompletely, by reason",
         ).inc(reason=result.degraded_reason)
 
-    def execute_batch(
-        self,
-        prepared_queries: list[np.ndarray],
-        k: int,
-        method: str,
-        scale: int | None = None,
-        max_scale: int | None = None,
-        buffer=None,
-        workspace: QueryWorkspace | None = None,
-    ) -> list[QueryResult]:
-        """Answer many prepared queries, vectorizing index-planned segments.
-
-        Segments planned as ``index`` run the whole batch through their
-        :class:`~repro.core.batch.BatchQueryEngine`; other segments loop
-        the scalar searcher.  Results are merged per query, so the
-        output matches scalar :meth:`execute` calls exactly — every
-        kernel produces the same similarities bit for bit.
-        """
-        scale = self.default_scale if scale is None else int(scale)
-        max_scale = self.default_max_scale if max_scale is None else int(max_scale)
-        with self.catalog.pinned() as snapshot:
-            segments = snapshot.segments
-            with span("plan", method=method, segments=len(segments),
-                      queries=len(prepared_queries)):
-                plans = self.plan(method, snapshot)
-            per_segment: list[list[QueryResult]] = []
-            for position, (segment, plan) in enumerate(zip(segments, plans)):
-                if plan.method != "index":
-                    per_segment.append([
-                        self._run_segment(segment, plan.method, p, k, scale, max_scale)
-                        for p in prepared_queries
-                    ])
-                    plans[position] = replace(plan, kernel="scalar")
-                    continue
-                segment.mark_used()
-                engine = segment.batch_engine(workspace)
-                with span("transform", queries=len(prepared_queries),
-                          segment=segment.segment_id):
-                    query_sets = [
-                        transform_query(p, segment.grid) for p in prepared_queries
-                    ]
-                per_segment.append(engine.query_batch(query_sets, k=k))
-                # The engine picks one kernel per batch; it is recorded on
-                # the plan for diagnostics (``sts3 inspect``, tests).
-                kernels = engine.last_kernels
-                plans[position] = replace(
-                    plan, kernel=kernels[-1] if kernels else None
-                )
-            self.last_plans = plans
-            quarantined = [q.name for q in snapshot.quarantined]
-            if not quarantined and len(segments) == 1 and not (
-                buffer is not None and len(buffer)
-            ):
-                return per_segment[0]
-            merged = [
-                self._merge(
-                    [res[qi] for res in per_segment], plans, prepared, k,
-                    buffer, snapshot,
-                )
-                for qi, prepared in enumerate(prepared_queries)
-            ]
-            for result in merged if quarantined else ():
-                self._mark_degraded(result, quarantined, {"quarantine"})
-            return merged
-
     def _run_segment(
         self,
         segment: Segment,
@@ -335,14 +319,13 @@ class QueryPlanner:
         scale: int,
         max_scale: int,
     ) -> QueryResult:
-        """One segment's answer (segment-local neighbour indices)."""
+        """One segment's answer by a per-query searcher (segment-local
+        neighbour indices); ``index`` segments go to the batch engine."""
         segment.mark_used()
         with span("transform", segment=segment.segment_id):
             query_set = transform_query(prepared, segment.grid)
         if method == "naive":
             return segment.naive_searcher().query(query_set, k=k)
-        if method == "index":
-            return segment.indexed_searcher().query(query_set, k=k)
         if method == "pruning":
             return segment.pruning_searcher(scale).query(query_set, k=k)
         if method == "minhash":

@@ -273,12 +273,15 @@ class Segment:
         if not self._bitset_decided:
             with self._lock:
                 if not self._bitset_decided:
-                    sorted_bytes = sum(s.nbytes for s in self.sets)
                     # The vocabulary is sorted at most once per segment:
                     # a built index already holds it in postings order.
                     if self._indexed is not None:
                         vocab = self._indexed.vocabulary()
+                        sorted_bytes = vocab.itemsize * int(
+                            self._indexed.lengths.sum()
+                        )
                     else:
+                        sorted_bytes = sum(s.nbytes for s in self.sets)
                         vocab = np.unique(
                             np.concatenate(self.sets)
                             if sorted_bytes

@@ -257,8 +257,8 @@ class QueryService:
         """One k-NN query; coalesces with compatible queued ones.
 
         Bit-identical to ``db.query(...)`` with the same arguments —
-        a wide window runs through ``db.query_batch``, whose parity
-        with scalar calls the engine already guarantees.
+        its window, of any width, runs through ``db.query_batch``, and
+        ``db.query`` is that call with one query.
         """
         self._admit(client)
         started = self._begin()
@@ -409,18 +409,10 @@ class QueryService:
         k, method, scale, max_scale = window.signature
         try:
             with span("server.window", queries=len(queries), method=method):
-                if len(queries) == 1:
-                    # A lonely window: the scalar path answers it with
-                    # less fixed cost than a one-query batch pass.
-                    results = [self.db.query(
-                        queries[0], k=k, method=method, scale=scale,
-                        max_scale=max_scale,
-                    )]
-                else:
-                    results = self.db.query_batch(
-                        queries, k=k, method=method, scale=scale,
-                        max_scale=max_scale,
-                    )
+                results = self.db.query_batch(
+                    queries, k=k, method=method, scale=scale,
+                    max_scale=max_scale,
+                )
         except Exception as exc:  # noqa: BLE001 — fan the failure out
             for _, future in window.items:
                 if not future.done():

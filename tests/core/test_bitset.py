@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BitsetStore, NaiveSearcher, PruningSearcher
-from repro.core.batch import BatchQueryEngine, batch_query
+from repro.core.batch import BatchQueryEngine
 from repro.core.bitset import HAVE_BITWISE_COUNT, popcount_u64, popcount_u64_lut
 from repro.core.grid import Bound, Grid
 from repro.core.indexed import IndexedSearcher
@@ -214,8 +214,8 @@ class TestBatchKernelParity:
     ``IndexedSearcher`` loop bit-for-bit."""
 
     def _results(self, sets, queries, kernel, k=4):
-        searcher = IndexedSearcher(sets)
-        return batch_query(searcher, queries, k=k, kernel=kernel)
+        engine = BatchQueryEngine(IndexedSearcher(sets), kernel=kernel)
+        return engine.query_batch(queries, k=k)
 
     def test_three_kernels_bit_identical(self):
         _, grid, sets = _ecg_sets(n=50)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro import STS3Database
+from repro.core import QuarantineRecord
 from repro.core.planner import SMALL_SEGMENT, QueryPlanner, SegmentPlan
+from repro.core.setrep import transform_query
 from repro.data.workloads import ecg_workload
 
-from ..conftest import answer_hex
+from ..conftest import answer_hex, ticking_clock
 
 
 def _spiked(rng, length, spike):
@@ -120,6 +122,93 @@ class TestDefaultMethod:
         db.query_batch([workload.queries[0]], k=5)
         kernels = [plan.kernel for plan in db.planner.last_plans]
         assert kernels and set(kernels) <= {"bitset", "postings"}
+
+
+def _layout(name):
+    """A database in one of the layouts the reference parity runs on."""
+    rng = np.random.default_rng(31)
+    db = STS3Database(
+        [rng.normal(size=48) for _ in range(SMALL_SEGMENT + 40)],
+        sigma=2, epsilon=0.5, normalize=False,
+        buffer_capacity=SMALL_SEGMENT + 8,
+    )
+    if name == "one-segment":
+        return db
+    # Longer series fall outside the bound: they are buffered, and a
+    # full buffer seals as an index-planned delta segment; one more
+    # out-of-bound series stays in the buffer.
+    for _ in range(SMALL_SEGMENT + 8):
+        db.insert(rng.normal(size=56))
+    db.insert(rng.normal(size=48) * 3.0)
+    assert [p.method for p in db.planner.plan("index")] == ["index", "index"]
+    assert len(db.buffer) == 1
+    if name == "quarantine":
+        db.catalog.quarantine(QuarantineRecord("segment-9", 4, "checksum mismatch"))
+    if name == "deadline":
+        db.planner.clock = ticking_clock(0.06)
+    return db
+
+
+def _reference(db, series, k, skipped):
+    """The answer Algorithm 3's reference searcher gives: each executed
+    segment's ``IndexedSearcher.query`` (naive on tiny deltas), merged
+    by the planner, degraded as the engine's answer was."""
+    prepared = db._prepare(series)
+    results, plans = [], []
+    with db.catalog.pinned() as snapshot:
+        for segment, plan in zip(snapshot.segments, db.planner.plan("index")):
+            if f"segment-{segment.segment_id}" in skipped:
+                continue
+            query_set = transform_query(prepared, segment.grid)
+            searcher = (
+                segment.indexed_searcher()
+                if plan.method == "index"
+                else segment.naive_searcher()
+            )
+            results.append(searcher.query(query_set, k=k))
+            plans.append(plan)
+        if len(results) == 1 and not len(db.buffer):
+            return results[0]
+        return db.planner._merge(results, plans, prepared, k, db.buffer, snapshot)
+
+
+class TestReferenceParity:
+    """An ``index`` query is a one-query engine batch; it must answer
+    what the reference ``IndexedSearcher.query`` does, hex for hex with
+    equal counters, whatever the catalog looks like."""
+
+    @pytest.mark.parametrize(
+        "layout", ["one-segment", "segments-and-buffer", "quarantine", "deadline"]
+    )
+    def test_index_query_matches_reference_and_naive(self, layout):
+        db = _layout(layout)
+        rng = np.random.default_rng(32)
+        deadline = 100 if layout == "deadline" else None
+        for length in (48, 48, 60):  # the last one is out of bound
+            series = rng.normal(size=length)
+            result = db.query(series, k=7, method="index", deadline_ms=deadline)
+            kernel = db.planner.last_plans[0].kernel
+            engine = db.catalog.segments[0].batch_engine()
+            assert kernel in {"postings", "dense", "bitset"}
+            assert kernel == engine.last_kernels[-1]
+            reference = _reference(db, series, 7, result.skipped_segments)
+            assert answer_hex(result) == answer_hex(reference)
+            assert result.stats == reference.stats
+            if layout == "one-segment":
+                assert result.complete and not result.skipped_segments
+            elif layout == "segments-and-buffer":
+                naive = db.query(series, k=7, method="naive")
+                assert answer_hex(result) == answer_hex(naive)
+                assert result.complete
+            elif layout == "quarantine":
+                assert result.degraded_reason == "quarantine"
+                assert result.skipped_segments == ["segment-9"]
+            else:
+                assert result.degraded_reason == "deadline"
+                assert result.skipped_segments
+            if layout != "segments-and-buffer":
+                naive = db.query(series, k=7, method="naive", deadline_ms=deadline)
+                assert answer_hex(naive) == answer_hex(result)
 
 
 class TestMergeDeterminism:

@@ -83,7 +83,9 @@ class TestCoalescing:
         # k is answer-affecting, so the two groups must not mix.
         assert window_snapshot()["count"] == 2
 
-    def test_lone_query_uses_scalar_path(self, db, queries):
+    def test_lone_query_is_a_one_query_batch(self, db, queries):
+        # A window of one takes the path every window takes, and so
+        # does the direct query it must equal: one engine pass each.
         direct = db.query(queries[0], k=5, method="index")
         service = QueryService(db)
 
@@ -97,7 +99,8 @@ class TestCoalescing:
         windows = window_snapshot()
         assert windows["count"] == 1 and windows["sum"] == 1
         engine = get_registry().histogram("sts3_batch_engine_queries")
-        assert engine.series_snapshot()["count"] == 0
+        assert engine.series_snapshot()["count"] == 2
+        assert engine.series_snapshot()["sum"] == 2
 
     def test_lone_query_on_idle_engine_arms_no_timer(self, db, queries):
         # Nobody else is coming: the query must run at once, not wait
@@ -320,11 +323,12 @@ class TestCoalescing:
         for s, d in zip(run(scenario()), direct):
             assert_same_result(s, d)
         # Arriving together, yet never batched: a window of one each,
-        # and the batch engine never runs.
+        # so every engine pass (three direct, three served) is one wide.
         windows = window_snapshot()
         assert windows["count"] == windows["sum"] == 3
         engine = get_registry().histogram("sts3_batch_engine_queries")
-        assert engine.series_snapshot()["count"] == 0
+        assert engine.series_snapshot()["count"] == 6
+        assert engine.series_snapshot()["sum"] == 6
 
 
 class TestDeadlines:
